@@ -1,6 +1,8 @@
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -23,52 +25,54 @@ using namespace pipm;
 namespace
 {
 
-/** Serialise a RunResult as tab-separated fields. */
+/** Whether the cache stores this field (derived ones are recomputed). */
+bool
+stored(const RunResultField &f)
+{
+    return f.kind != RunResultField::derived;
+}
+
+/** Serialise a RunResult as tab-separated fields in table order. */
 std::string
 serialize(const RunResult &r)
 {
     std::ostringstream os;
-    os << r.execCycles << '\t' << r.instructions << '\t' << r.ipc << '\t'
-       << r.sharedAccesses << '\t' << r.sharedLlcMisses << '\t'
-       << r.localServedMisses << '\t' << r.cxlServedMisses << '\t'
-       << r.interHostAccesses << '\t' << r.interHostStallCycles << '\t'
-       << r.mgmtStallCycles << '\t' << r.migrationTransferBytes << '\t'
-       << r.osMigrations << '\t' << r.osDemotions << '\t'
-       << r.pipmPromotions << '\t' << r.pipmRevocations << '\t'
-       << r.pipmLinesIn << '\t' << r.pipmLinesBack << '\t'
-       << r.harmfulMigrations << '\t' << r.totalTrackedMigrations << '\t'
-       << r.pageFootprintFrac << '\t' << r.lineFootprintFrac << '\t'
-       << r.linkCrcErrors << '\t' << r.linkRetrainEvents << '\t'
-       << r.poisonEvents << '\t' << r.degradedAccesses << '\t'
-       << r.migrationAborts << '\t' << r.migrationsDeferred << '\t'
-       << r.hostCrashes << '\t' << r.hostRejoins << '\t'
-       << r.crashLinesReclaimed << '\t' << r.crashDirtyLinesLost << '\t'
-       << r.crashRecoveryCycles;
+    const char *sep = "";
+    for (const RunResultField &f : runResultFields) {
+        if (!stored(f))
+            continue;
+        os << sep;
+        sep = "\t";
+        if (f.u64)
+            os << r.*f.u64;
+        else
+            os << r.*f.f64;
+    }
     return os.str();
 }
 
+/** Parse a serialize()d row; every column must parse completely. */
 bool
 deserialize(const std::string &line, RunResult &r)
 {
-    std::istringstream is(line);
-    if (!(is >> r.execCycles >> r.instructions >> r.ipc >>
-          r.sharedAccesses >> r.sharedLlcMisses >> r.localServedMisses >>
-          r.cxlServedMisses >> r.interHostAccesses >>
-          r.interHostStallCycles >> r.mgmtStallCycles >>
-          r.migrationTransferBytes >> r.osMigrations >> r.osDemotions >>
-          r.pipmPromotions >> r.pipmRevocations >> r.pipmLinesIn >>
-          r.pipmLinesBack >> r.harmfulMigrations >>
-          r.totalTrackedMigrations >> r.pageFootprintFrac >>
-          r.lineFootprintFrac))
-        return false;
-    // The fault and crash columns are later additions; entries cached
-    // before them lack the trailing fields (and were necessarily
-    // fault-free / crash-free runs), so they default to zero.
-    is >> r.linkCrcErrors >> r.linkRetrainEvents >> r.poisonEvents >>
-        r.degradedAccesses >> r.migrationAborts >> r.migrationsDeferred;
-    is >> r.hostCrashes >> r.hostRejoins >> r.crashLinesReclaimed >>
-        r.crashDirtyLinesLost >> r.crashRecoveryCycles;
-    return true;
+    std::size_t pos = 0;
+    bool more = true;
+    for (const RunResultField &f : runResultFields) {
+        if (!stored(f))
+            continue;
+        if (!more)
+            return false;   // too few columns
+        const std::size_t tab = std::min(line.find('\t', pos), line.size());
+        const char *first = line.data() + pos;
+        const char *last = line.data() + tab;
+        const auto res = f.u64 ? std::from_chars(first, last, r.*f.u64)
+                               : std::from_chars(first, last, r.*f.f64);
+        if (res.ec != std::errc() || res.ptr != last)
+            return false;
+        more = tab < line.size();
+        pos = tab + 1;
+    }
+    return !more;   // no trailing columns
 }
 
 /** Cache key of one experiment (16 hex chars). */
@@ -85,17 +89,30 @@ experimentKey(const SystemConfig &cfg, Scheme scheme,
 }
 
 /**
- * Load the cache file as key -> serialized-result. Malformed rows
- * (truncated writes, corrupted keys, short result columns) are skipped
- * with a warning; the next merge drops them from the file.
+ * Load the cache file as key -> serialized-result. A file whose header
+ * is not cacheHeader() (an older column layout, or none) is ignored as
+ * a whole; malformed rows (truncated writes, corrupted keys, short
+ * result columns) are skipped. Either way the next merge drops them;
+ * `report` warns about it (once per merge, not on every lookup).
  */
 std::map<std::string, std::string>
-loadCache(const std::string &path)
+loadCache(const std::string &path, bool report)
 {
     std::map<std::string, std::string> rows;
     std::ifstream in(path);
     std::string line;
-    std::size_t lineno = 0;
+    if (!std::getline(in, line))
+        return rows;
+    if (line != cacheHeader()) {
+        if (report)
+            std::fprintf(stderr,
+                         "[bench] warning: ignoring cache %s: its header "
+                         "does not match this build's columns; replacing "
+                         "it\n",
+                         path.c_str());
+        return rows;
+    }
+    std::size_t lineno = 1;
     while (std::getline(in, line)) {
         ++lineno;
         bool ok = line.size() > 17 && line[16] == '\t';
@@ -107,10 +124,11 @@ loadCache(const std::string &path)
         RunResult parsed;
         ok = ok && deserialize(line.substr(17), parsed);
         if (!ok) {
-            std::fprintf(stderr,
-                         "[bench] warning: skipping malformed cache row "
-                         "%s:%zu\n",
-                         path.c_str(), lineno);
+            if (report)
+                std::fprintf(stderr,
+                             "[bench] warning: dropping malformed cache "
+                             "row %s:%zu\n",
+                             path.c_str(), lineno);
             continue;
         }
         rows[line.substr(0, 16)] = line.substr(17);
@@ -129,12 +147,13 @@ void
 mergeCache(const std::string &path,
            const std::map<std::string, std::string> &fresh)
 {
-    std::map<std::string, std::string> rows = loadCache(path);
+    std::map<std::string, std::string> rows = loadCache(path, true);
     for (const auto &[key, row] : fresh)
         rows[key] = row;
     const std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::trunc);
+        out << cacheHeader() << '\n';
         for (const auto &[key, row] : rows)
             out << key << '\t' << row << '\n';
         if (!out) {
@@ -153,6 +172,17 @@ mergeCache(const std::string &path,
 }
 
 } // namespace
+
+std::string
+cacheHeader()
+{
+    std::string header = "key";
+    for (const RunResultField &f : runResultFields) {
+        if (stored(f))
+            header += std::string("\t") + f.name;
+    }
+    return header;
+}
 
 Options
 optionsFromEnv()
@@ -268,22 +298,13 @@ cachedRun(const SystemConfig &cfg, Scheme scheme, const Workload &workload,
     const std::string key =
         experimentKey(cfg, scheme, workload, opts, extra_key);
 
-    // Look the key up in the cache file.
-    {
-        std::ifstream in(opts.cachePath);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.size() > 17 && line.compare(0, 16, key) == 0 &&
-                line[16] == '\t') {
-                RunResult r;
-                if (deserialize(line.substr(17), r)) {
-                    r.workload = workload.name();
-                    r.scheme = scheme;
-                    return r;
-                }
-            }
-        }
-    }
+    RunResult r;
+    r.workload = workload.name();
+    r.scheme = scheme;
+    const auto rows = loadCache(opts.cachePath, false);
+    if (const auto it = rows.find(key);
+        it != rows.end() && deserialize(it->second, r))
+        return r;
 
     std::fprintf(stderr, "[bench] running %s/%s%s%s...\n",
                  workload.name().c_str(),
@@ -294,9 +315,12 @@ cachedRun(const SystemConfig &cfg, Scheme scheme, const Workload &workload,
     // re-run the simulation, so the file would ambiguously reflect
     // whichever combination happened to miss last.
     run_cfg.statsJsonPath.clear();
-    const RunResult r = runExperiment(cfg, scheme, workload, run_cfg);
-
-    mergeCache(opts.cachePath, {{key, serialize(r)}});
+    const std::string row =
+        serialize(runExperiment(cfg, scheme, workload, run_cfg));
+    mergeCache(opts.cachePath, {{key, row}});
+    // Return what a later hit will read, so a harness prints the same
+    // numbers whether or not the cache was warm.
+    deserialize(row, r);
     return r;
 }
 
@@ -316,7 +340,7 @@ Sweep::run()
     // Drop experiments the cache already holds, and key-duplicates
     // (the same combination enqueued by nested harness loops).
     const std::map<std::string, std::string> cached =
-        loadCache(opts_.cachePath);
+        loadCache(opts_.cachePath, false);
     std::vector<const Item *> todo;
     for (const Item &item : items_) {
         if (cached.count(item.key))

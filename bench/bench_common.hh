@@ -17,8 +17,10 @@
  * job count. Cache writes go through a single-writer merge: the file is
  * re-read, merged with the new rows, and atomically replaced via a
  * temp file + rename, with rows in canonical (key-sorted) order.
- * Malformed or truncated rows (e.g. from an interrupted run) are
- * skipped with a warning and dropped on the next merge.
+ * The file starts with a header line naming the columns (cacheHeader);
+ * a file with any other header is ignored as a whole, and malformed or
+ * truncated rows (e.g. from an interrupted run) are skipped, both
+ * dropped with a warning on the next merge.
  *
  * Environment knobs:
  *   PIPM_BENCH_REFS    measured references per core (default 150000)
@@ -141,6 +143,13 @@ class Sweep
     Options opts_;
     std::vector<Item> items_;
 };
+
+/**
+ * The cache file's first line: "key" and every stored runResultFields
+ * name, tab-separated. A file with any other first line is ignored and
+ * replaced by the next merge.
+ */
+std::string cacheHeader();
 
 /** Fingerprint of every config field that affects measurements. */
 std::string configKey(const pipm::SystemConfig &cfg);

@@ -58,17 +58,10 @@ main(int argc, char **argv)
             const double speedup = speedupOver(native, r);
             columns[i].push_back(speedup);
             row.push_back(TablePrinter::num(speedup, 2) + "x");
-            faultTotals.linkCrcErrors += r.linkCrcErrors;
-            faultTotals.linkRetrainEvents += r.linkRetrainEvents;
-            faultTotals.poisonEvents += r.poisonEvents;
-            faultTotals.degradedAccesses += r.degradedAccesses;
-            faultTotals.migrationAborts += r.migrationAborts;
-            faultTotals.migrationsDeferred += r.migrationsDeferred;
-            faultTotals.hostCrashes += r.hostCrashes;
-            faultTotals.hostRejoins += r.hostRejoins;
-            faultTotals.crashLinesReclaimed += r.crashLinesReclaimed;
-            faultTotals.crashDirtyLinesLost += r.crashDirtyLinesLost;
-            faultTotals.crashRecoveryCycles += r.crashRecoveryCycles;
+            for (const RunResultField &f : runResultFields) {
+                if (f.fault)
+                    faultTotals.*f.u64 += r.*f.u64;
+            }
         }
         table.row(row);
     }
@@ -80,25 +73,13 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     if (faulty) {
-        std::cout << "Fault injection (PIPM_BENCH_FAULTS): "
-                  << faultTotals.linkCrcErrors << " link CRC errors, "
-                  << faultTotals.linkRetrainEvents << " retrain events, "
-                  << faultTotals.poisonEvents << " poisoned lines, "
-                  << faultTotals.degradedAccesses << " degraded accesses, "
-                  << faultTotals.migrationAborts << " migration aborts, "
-                  << faultTotals.migrationsDeferred
-                  << " migrations deferred (totals across runs).\n";
-        if (faultTotals.hostCrashes || faultTotals.hostRejoins) {
-            std::cout << "Host crashes (PIPM_BENCH_FAULTS=crash): "
-                      << faultTotals.hostCrashes << " fail-stop crashes, "
-                      << faultTotals.hostRejoins << " cold rejoins, "
-                      << faultTotals.crashLinesReclaimed
-                      << " lines reclaimed, "
-                      << faultTotals.crashDirtyLinesLost
-                      << " dirty lines lost, "
-                      << faultTotals.crashRecoveryCycles
-                      << " recovery cycles (totals across runs).\n";
+        std::cout << "Fault injection (PIPM_BENCH_FAULTS), totals across "
+                     "runs:";
+        for (const RunResultField &f : runResultFields) {
+            if (f.fault && faultTotals.*f.u64)
+                std::cout << ' ' << f.name << '=' << faultTotals.*f.u64;
         }
+        std::cout << '\n';
     }
 
     std::cout << "Paper: PIPM 1.86x avg (max 2.54x) over native; "

@@ -51,21 +51,6 @@ columnOf(const JsonValue &counters, const std::string &name)
     return -1;
 }
 
-/** Sum one counter column across all interval samples. */
-std::uint64_t
-columnTotal(const JsonValue &samples, int col)
-{
-    if (col < 0)
-        return 0;
-    std::uint64_t sum = 0;
-    for (const JsonValue &s : samples.arr) {
-        const JsonValue *c = s.find("counters");
-        if (c && static_cast<std::size_t>(col) < c->arr.size())
-            sum += c->arr[static_cast<std::size_t>(col)].asU64();
-    }
-    return sum;
-}
-
 /** Sum every counter column whose name ends with `suffix`, per sample. */
 std::uint64_t
 suffixValue(const JsonValue &counters, const JsonValue &sample,
@@ -161,59 +146,27 @@ renderReport(const JsonValue &doc)
     }
 }
 
-/** Exact cross-check of interval aggregates against the RunResult. */
+/** Exact cross-check of interval aggregates against the RunResult:
+ *  every counter field of the table must match. */
 bool
 crossCheck(const JsonValue &doc, const RunResult &r)
 {
-    const JsonValue *intervals = doc.find("intervals");
-    const JsonValue *counters = intervals->find("counters");
-    const JsonValue *samples = intervals->find("samples");
-
-    struct Check
-    {
-        const char *column;
-        std::uint64_t expect;
-    };
-    const Check checks[] = {
-        {"system.shared_accesses", r.sharedAccesses},
-        {"system.shared_llc_misses", r.sharedLlcMisses},
-        {"system.local_served_misses", r.localServedMisses},
-        {"system.cxl_served_misses", r.cxlServedMisses},
-        {"system.inter_host_accesses", r.interHostAccesses},
-        {"system.inter_host_stall_cycles", r.interHostStallCycles},
-        {"system.mgmt_stall_cycles", r.mgmtStallCycles},
-        {"system.os_migrations", r.osMigrations},
-        {"system.os_demotions", r.osDemotions},
-        {"pipm.promotions", r.pipmPromotions},
-        {"pipm.revocations", r.pipmRevocations},
-        {"pipm.lines_in", r.pipmLinesIn},
-        {"pipm.lines_back", r.pipmLinesBack},
-    };
     bool ok = true;
-    for (const Check &c : checks) {
+    for (const RunResultField &f : runResultFields) {
+        if (f.kind != RunResultField::counter)
+            continue;
         const std::uint64_t got =
-            columnTotal(*samples, columnOf(*counters, c.column));
-        if (got != c.expect) {
+            intervalFieldTotal(*doc.find("intervals"), f);
+        if (got != r.*f.u64) {
             std::fprintf(stderr,
-                         "[obs] FAIL: interval sum of %s = %llu, "
+                         "[obs] FAIL: interval sum for %s = %llu, "
                          "RunResult says %llu\n",
-                         c.column, static_cast<unsigned long long>(got),
-                         static_cast<unsigned long long>(c.expect));
+                         f.name, static_cast<unsigned long long>(got),
+                         static_cast<unsigned long long>(r.*f.u64));
             ok = false;
         }
     }
     return ok;
-}
-
-Scheme
-schemeByName(const std::string &name)
-{
-    for (Scheme s : allSchemesExtended) {
-        if (toString(s) == name)
-            return s;
-    }
-    std::fprintf(stderr, "[obs] unknown scheme '%s'\n", name.c_str());
-    std::exit(2);
 }
 
 } // namespace
@@ -289,8 +242,13 @@ main(int argc, char **argv)
         std::fprintf(stderr, "[obs] running %s/%s -> %s\n",
                      workload->name().c_str(), scheme_name.c_str(),
                      run_cfg.statsJsonPath.c_str());
-        result = runExperiment(cfg, schemeByName(scheme_name), *workload,
-                               run_cfg);
+        const std::optional<Scheme> scheme = schemeFromString(scheme_name);
+        if (!scheme) {
+            std::fprintf(stderr, "[obs] unknown scheme '%s'\n",
+                         scheme_name.c_str());
+            return 2;
+        }
+        result = runExperiment(cfg, *scheme, *workload, run_cfg);
         have_result = true;
         file = run_cfg.statsJsonPath;
     }

@@ -6,15 +6,18 @@
  * traces replayed through the simulator) end to end.
  *
  * By default the four trace_gen models are synthesized deterministically
- * into the bench cache directory and replayed; set PIPM_TRACE_FILE to a
- * .pipmt path (or several, colon-separated) to replay recorded traces
- * instead. Replay runs use the trace's recorded host/core geometry.
+ * into a per-process temp directory (removed on exit) and replayed; set
+ * PIPM_TRACE_FILE to a .pipmt path (or several, colon-separated) to
+ * replay recorded traces instead. Replay runs use the trace's recorded
+ * host/core geometry.
  */
 
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_common.hh"
 #include "common/env.hh"
@@ -39,6 +42,7 @@ main(int argc, char **argv)
     // (colon-separated), else the generated model suite at the
     // config's geometry.
     std::vector<std::string> paths;
+    std::filesystem::path gen_dir;
     const std::string env_traces = envStr("PIPM_TRACE_FILE", "");
     if (!env_traces.empty()) {
         std::string::size_type pos = 0;
@@ -51,9 +55,10 @@ main(int argc, char **argv)
             pos = end + 1;
         }
     } else {
-        const auto dir = std::filesystem::temp_directory_path() /
-                         "pipm_trace_replay_suite";
-        std::filesystem::create_directories(dir);
+        // Keyed on the pid so concurrent runs never share files.
+        gen_dir = std::filesystem::temp_directory_path() /
+                  ("pipm_trace_replay_suite." + std::to_string(getpid()));
+        std::filesystem::create_directories(gen_dir);
         for (const std::string &model : genModels()) {
             GenSpec spec;
             spec.model = model;
@@ -62,9 +67,7 @@ main(int argc, char **argv)
             spec.refsPerStream = opts.warmupRefs + opts.measureRefs;
             spec.seed = opts.seed;
             const std::string path =
-                (dir / ("gen_" + model + ".pipmt")).string();
-            // Generation is deterministic, so regenerating over a
-            // stale file of the same spec writes identical bytes.
+                (gen_dir / ("gen_" + model + ".pipmt")).string();
             generateTrace(spec).writeTo(path);
             paths.push_back(path);
         }
@@ -126,5 +129,7 @@ main(int argc, char **argv)
     std::cout << "Replayed " << workloads.size() << " trace(s); "
                  "streams loop when a run consumes more references "
                  "than the trace holds.\n";
+    if (!gen_dir.empty())
+        std::filesystem::remove_all(gen_dir);
     return 0;
 }

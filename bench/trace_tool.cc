@@ -95,16 +95,6 @@ badArgs(const std::string &why)
     std::exit(2);
 }
 
-Scheme
-schemeByName(const std::string &name)
-{
-    for (Scheme s : allSchemesExtended) {
-        if (name == toString(s))
-            return s;
-    }
-    badArgs("unknown scheme '" + name + "'");
-}
-
 /** Flag cursor: `value()` consumes the argument after argv[i]. */
 struct Args
 {
@@ -173,7 +163,11 @@ struct RunOpts
         } else if (arg == "--seed") {
             seed = a.num(arg);
         } else if (arg == "--scheme") {
-            scheme = schemeByName(a.value(arg));
+            const std::string name = a.value(arg);
+            const std::optional<Scheme> s = schemeFromString(name);
+            if (!s)
+                badArgs("unknown scheme '" + name + "'");
+            scheme = *s;
         } else if (arg == "--faults") {
             faults = true;
         } else {

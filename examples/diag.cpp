@@ -11,9 +11,13 @@
  * Passing "faults" as the fourth argument enables the paper-default
  * fault-injection schedule (CXL link CRC errors, retraining windows,
  * poisoned lines, migration aborts) and dumps the fault stats too.
+ * An unknown scheme, a fourth argument other than "faults", or extra
+ * arguments print usage and exit 2.
  */
 #include <cstdlib>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "common/config.hh"
 #include "sim/core.hh"
@@ -26,17 +30,20 @@ main(int argc, char **argv)
     using namespace pipm;
     SystemConfig cfg = defaultConfig();
     auto wl = workloadByName(argc > 1 ? argv[1] : "pr", cfg.footprintScale);
-    Scheme scheme = Scheme::native;
-    if (argc > 3) {
-        const std::string want = argv[3];
-        for (Scheme s : allSchemes) {
-            if (want == toString(s))
-                scheme = s;
-        }
+    const std::optional<Scheme> scheme =
+        argc > 3 ? schemeFromString(argv[3]) : Scheme::native;
+    if (!scheme || argc > 5 ||
+        (argc > 4 && std::string(argv[4]) != "faults")) {
+        std::cerr << "usage: example_diag [workload] [refs-per-core] "
+                     "[scheme] [faults]\nschemes:";
+        for (Scheme s : allSchemesExtended)
+            std::cerr << ' ' << toString(s);
+        std::cerr << '\n';
+        return 2;
     }
-    if (argc > 4 && std::string(argv[4]) == "faults")
+    if (argc > 4)
         cfg.fault = paperFaultConfig();
-    MultiHostSystem sys(cfg, scheme, *wl, 42);
+    MultiHostSystem sys(cfg, *scheme, *wl, 42);
 
     const std::uint64_t refs =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50'000;

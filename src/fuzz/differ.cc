@@ -217,44 +217,12 @@ fingerprintResult(const RunResult &r)
 {
     std::ostringstream os;
     os.precision(17);
-    os << "execCycles=" << r.execCycles << '\n'
-       << "instructions=" << r.instructions << '\n'
-       << "ipc=" << r.ipc << '\n'
-       << "sharedAccesses=" << r.sharedAccesses << '\n'
-       << "sharedLlcMisses=" << r.sharedLlcMisses << '\n'
-       << "localServedMisses=" << r.localServedMisses << '\n'
-       << "cxlServedMisses=" << r.cxlServedMisses << '\n'
-       << "interHostAccesses=" << r.interHostAccesses << '\n'
-       << "interHostStallCycles=" << r.interHostStallCycles << '\n'
-       << "mgmtStallCycles=" << r.mgmtStallCycles << '\n'
-       << "migrationTransferBytes=" << r.migrationTransferBytes << '\n'
-       << "osMigrations=" << r.osMigrations << '\n'
-       << "osDemotions=" << r.osDemotions << '\n'
-       << "pipmPromotions=" << r.pipmPromotions << '\n'
-       << "pipmRevocations=" << r.pipmRevocations << '\n'
-       << "pipmLinesIn=" << r.pipmLinesIn << '\n'
-       << "pipmLinesBack=" << r.pipmLinesBack << '\n'
-       << "harmfulMigrations=" << r.harmfulMigrations << '\n'
-       << "totalTrackedMigrations=" << r.totalTrackedMigrations << '\n'
-       << "linkCrcErrors=" << r.linkCrcErrors << '\n'
-       << "linkRetrainEvents=" << r.linkRetrainEvents << '\n'
-       << "poisonEvents=" << r.poisonEvents << '\n'
-       << "degradedAccesses=" << r.degradedAccesses << '\n'
-       << "migrationAborts=" << r.migrationAborts << '\n'
-       << "migrationsDeferred=" << r.migrationsDeferred << '\n'
-       << "hostCrashes=" << r.hostCrashes << '\n'
-       << "hostRejoins=" << r.hostRejoins << '\n'
-       << "crashLinesReclaimed=" << r.crashLinesReclaimed << '\n'
-       << "crashDirtyLinesLost=" << r.crashDirtyLinesLost << '\n'
-       << "crashRecoveryCycles=" << r.crashRecoveryCycles << '\n'
-       << "suspicions=" << r.suspicions << '\n'
-       << "falseSuspicions=" << r.falseSuspicions << '\n'
-       << "fencedRequests=" << r.fencedRequests << '\n'
-       << "txnTimeouts=" << r.txnTimeouts << '\n'
-       << "txnRetries=" << r.txnRetries << '\n'
-       << "stallWindows=" << r.stallWindows << '\n'
-       << "pageFootprintFrac=" << r.pageFootprintFrac << '\n'
-       << "lineFootprintFrac=" << r.lineFootprintFrac << '\n';
+    for (const RunResultField &f : runResultFields) {
+        if (f.u64)
+            os << f.name << '=' << r.*f.u64 << '\n';
+        else if (f.f64)
+            os << f.name << '=' << r.*f.f64 << '\n';
+    }
     return os.str();
 }
 

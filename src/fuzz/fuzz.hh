@@ -91,7 +91,7 @@ std::string describeCase(const FuzzCase &c);
 /** Full determinism fingerprint (measurementKey + run fields). */
 std::string caseKey(const FuzzCase &c);
 
-/** `field=value` lines over every RunResult measurement; differential
+/** `name=value` lines over every stored runResultFields row; differential
  *  oracles compare these and report the first differing field. */
 std::string fingerprintResult(const RunResult &r);
 

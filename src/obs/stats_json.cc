@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 
 #include "obs/json.hh"
 
@@ -13,152 +12,30 @@
 namespace pipm
 {
 
-namespace
+std::uint64_t
+intervalFieldTotal(const JsonValue &intervals, const RunResultField &f,
+                   bool *found)
 {
-
-/** The fixed "totals" field order; also the validator's required set. */
-struct TotalField
-{
-    const char *name;
-    bool isInteger;
-};
-
-constexpr TotalField kTotalFields[] = {
-    {"exec_cycles", true},
-    {"instructions", true},
-    {"ipc", false},
-    {"shared_accesses", true},
-    {"shared_llc_misses", true},
-    {"local_served_misses", true},
-    {"cxl_served_misses", true},
-    {"inter_host_accesses", true},
-    {"inter_host_stall_cycles", true},
-    {"mgmt_stall_cycles", true},
-    {"migration_transfer_bytes", true},
-    {"os_migrations", true},
-    {"os_demotions", true},
-    {"pipm_promotions", true},
-    {"pipm_revocations", true},
-    {"pipm_lines_in", true},
-    {"pipm_lines_back", true},
-    {"harmful_migrations", true},
-    {"total_tracked_migrations", true},
-    {"link_crc_errors", true},
-    {"link_retrain_events", true},
-    {"poison_events", true},
-    {"degraded_accesses", true},
-    {"migration_aborts", true},
-    {"migrations_deferred", true},
-    {"host_crashes", true},
-    {"host_rejoins", true},
-    {"crash_lines_reclaimed", true},
-    {"crash_dirty_lines_lost", true},
-    {"crash_recovery_cycles", true},
-    {"page_footprint_frac", false},
-    {"line_footprint_frac", false},
-    {"local_hit_rate", false},
-    {"harmful_fraction", false},
-};
-
-/** Totals field values in kTotalFields order. */
-std::vector<std::string>
-totalValues(const RunResult &r)
-{
-    std::vector<std::string> v;
-    v.reserve(std::size(kTotalFields));
-    auto u = [&](std::uint64_t x) { v.push_back(std::to_string(x)); };
-    auto d = [&](double x) { v.push_back(jsonNumber(x)); };
-    u(r.execCycles);
-    u(r.instructions);
-    d(r.ipc);
-    u(r.sharedAccesses);
-    u(r.sharedLlcMisses);
-    u(r.localServedMisses);
-    u(r.cxlServedMisses);
-    u(r.interHostAccesses);
-    u(r.interHostStallCycles);
-    u(r.mgmtStallCycles);
-    u(r.migrationTransferBytes);
-    u(r.osMigrations);
-    u(r.osDemotions);
-    u(r.pipmPromotions);
-    u(r.pipmRevocations);
-    u(r.pipmLinesIn);
-    u(r.pipmLinesBack);
-    u(r.harmfulMigrations);
-    u(r.totalTrackedMigrations);
-    u(r.linkCrcErrors);
-    u(r.linkRetrainEvents);
-    u(r.poisonEvents);
-    u(r.degradedAccesses);
-    u(r.migrationAborts);
-    u(r.migrationsDeferred);
-    u(r.hostCrashes);
-    u(r.hostRejoins);
-    u(r.crashLinesReclaimed);
-    u(r.crashDirtyLinesLost);
-    u(r.crashRecoveryCycles);
-    d(r.pageFootprintFrac);
-    d(r.lineFootprintFrac);
-    d(r.localHitRate());
-    d(r.harmfulFraction());
-    return v;
+    bool any = false;
+    std::uint64_t sum = 0;
+    const JsonValue *counters = intervals.find("counters");
+    const JsonValue *samples = intervals.find("samples");
+    if (!counters || !counters->isArray() || !samples || !samples->isArray())
+        return 0;
+    for (std::size_t i = 0; i < counters->arr.size(); ++i) {
+        if (!f.sums(counters->arr[i].raw))
+            continue;
+        any = true;
+        for (const JsonValue &sample : samples->arr) {
+            const JsonValue *deltas = sample.find("counters");
+            if (deltas && deltas->isArray() && i < deltas->arr.size())
+                sum += deltas->arr[i].asU64();
+        }
+    }
+    if (found)
+        *found = any;
+    return sum;
 }
-
-/**
- * Accounting invariant: totals field == sum of the listed interval
- * counter columns. Columns whose subsystem was not in the run are
- * absent from the schema; the rule then degrades to "total must be 0".
- * A non-null `suffix` additionally sums every column ending in it
- * (per-host groups like hostN.link.crc_errors).
- */
-struct TotalsMapping
-{
-    const char *total;
-    std::vector<const char *> sources;
-    const char *suffix;
-};
-
-const std::vector<TotalsMapping> &
-totalsMappings()
-{
-    static const std::vector<TotalsMapping> m = {
-        {"shared_accesses", {"system.shared_accesses"}, nullptr},
-        {"shared_llc_misses", {"system.shared_llc_misses"}, nullptr},
-        {"local_served_misses", {"system.local_served_misses"}, nullptr},
-        {"cxl_served_misses", {"system.cxl_served_misses"}, nullptr},
-        {"inter_host_accesses", {"system.inter_host_accesses"}, nullptr},
-        {"inter_host_stall_cycles", {"system.inter_host_stall_cycles"},
-         nullptr},
-        {"mgmt_stall_cycles", {"system.mgmt_stall_cycles"}, nullptr},
-        {"migration_transfer_bytes", {"system.migration_transfer_bytes"},
-         nullptr},
-        {"os_migrations", {"system.os_migrations"}, nullptr},
-        {"os_demotions", {"system.os_demotions"}, nullptr},
-        {"pipm_promotions", {"pipm.promotions"}, nullptr},
-        {"pipm_revocations", {"pipm.revocations"}, nullptr},
-        {"pipm_lines_in", {"pipm.lines_in"}, nullptr},
-        {"pipm_lines_back", {"pipm.lines_back"}, nullptr},
-        {"link_crc_errors", {}, ".link.crc_errors"},
-        {"link_retrain_events", {"fault.retrain_events"}, nullptr},
-        {"poison_events",
-         {"fault.poison_transient", "fault.poison_persistent"}, nullptr},
-        {"degraded_accesses", {"fault.degraded_accesses"}, nullptr},
-        {"migration_aborts", {"fault.promotion_aborts", "fault.line_aborts"},
-         nullptr},
-        {"migrations_deferred", {"fault.migrations_deferred"}, nullptr},
-        {"host_crashes", {"fault.host_crashes"}, nullptr},
-        {"host_rejoins", {"fault.host_rejoins"}, nullptr},
-        {"crash_lines_reclaimed",
-         {"fault.crash_dir_swept", "fault.crash_lines_reclaimed"}, nullptr},
-        {"crash_dirty_lines_lost", {"fault.crash_dirty_lines_lost"},
-         nullptr},
-        {"crash_recovery_cycles", {"fault.crash_recovery_cycles"}, nullptr},
-    };
-    return m;
-}
-
-} // namespace
 
 std::string
 gitDescribe()
@@ -191,11 +68,11 @@ renderStatsJson(const StatsJsonMeta &meta, const RunResult &r,
     out += "},\n";
 
     out += "\"totals\": {";
-    const std::vector<std::string> values = totalValues(r);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
+    for (const RunResultField &f : runResultFields) {
+        if (&f != runResultFields)
             out += ", ";
-        out += jsonQuote(kTotalFields[i].name) + ": " + values[i];
+        out += jsonQuote(f.name) + ": " +
+               (f.u64 ? std::to_string(r.*f.u64) : jsonNumber(f.real(r)));
     }
     out += "},\n";
 
@@ -344,7 +221,7 @@ validateStatsJson(const std::string &text)
         err("totals missing or not an object");
         return errors;
     }
-    for (const TotalField &f : kTotalFields) {
+    for (const RunResultField &f : runResultFields) {
         const JsonValue *v = totals->find(f.name);
         if (!v || !v->isNumber())
             err(std::string("totals.") + f.name +
@@ -416,55 +293,20 @@ validateStatsJson(const std::string &text)
     }
 
     // --- accounting: interval sums == totals --------------------------
-    auto columnSum = [&](const std::string &name,
-                         bool *found) -> std::uint64_t {
-        *found = false;
-        for (std::size_t i = 0; i < counters->arr.size(); ++i) {
-            if (counters->arr[i].raw != name)
-                continue;
-            *found = true;
-            std::uint64_t sum = 0;
-            for (const JsonValue &sample : samples->arr) {
-                const JsonValue *cdeltas = sample.find("counters");
-                if (cdeltas && cdeltas->isArray() &&
-                    i < cdeltas->arr.size())
-                    sum += cdeltas->arr[i].asU64();
-            }
-            return sum;
-        }
-        return 0;
-    };
-
-    for (const TotalsMapping &m : totalsMappings()) {
-        const JsonValue *total = totals->find(m.total);
-        if (!total || !total->isNumber())
-            continue;   // already reported above
-        std::uint64_t sum = 0;
-        bool any = false;
-        for (const char *src : m.sources) {
-            bool found = false;
-            sum += columnSum(src, &found);
-            any = any || found;
-        }
-        if (m.suffix) {
-            const std::size_t n = std::strlen(m.suffix);
-            for (const JsonValue &name : counters->arr) {
-                if (name.raw.size() < n ||
-                    name.raw.compare(name.raw.size() - n, n, m.suffix) != 0)
-                    continue;
-                bool found = false;
-                sum += columnSum(name.raw, &found);
-                any = any || found;
-            }
-        }
-        if (!any) {
-            if (total->asU64() != 0)
-                err(std::string("totals.") + m.total +
-                    " is nonzero but no interval column produces it");
-            continue;
-        }
-        if (sum != total->asU64())
-            err(std::string("totals.") + m.total + " (" +
+    // Columns whose subsystem was not in the run are absent from the
+    // schema; the rule then degrades to "total must be 0".
+    for (const RunResultField &f : runResultFields) {
+        const JsonValue *total = totals->find(f.name);
+        if (f.kind != RunResultField::counter || !total ||
+            !total->isNumber())
+            continue;   // missing totals were reported above
+        bool found = false;
+        const std::uint64_t sum = intervalFieldTotal(*intervals, f, &found);
+        if (!found && total->asU64() != 0)
+            err(std::string("totals.") + f.name +
+                " is nonzero but no interval column produces it");
+        else if (found && sum != total->asU64())
+            err(std::string("totals.") + f.name + " (" +
                 std::to_string(total->asU64()) +
                 ") != sum of interval deltas (" + std::to_string(sum) +
                 ")");

@@ -10,7 +10,7 @@
  *     "meta": { workload, scheme, seed, warmup_refs_per_core,
  *               measure_refs_per_core, interval_accesses,
  *               config_hash, git_describe },
- *     "totals": { every RunResult measurement field, snake_case },
+ *     "totals": { every runResultFields row, by name, in table order },
  *     "intervals": {
  *       "counters": ["system.shared_accesses", ...],
  *       "averages": ["system.avg_shared_miss_latency", ...],
@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/trace.hh"
 #include "sim/runner.hh"
@@ -72,6 +73,16 @@ std::string renderStatsJson(const StatsJsonMeta &meta, const RunResult &r,
  * @return whether the write succeeded (failure warns on stderr)
  */
 bool writeStatsJson(const std::string &path, const std::string &doc);
+
+/**
+ * Sum over every interval sample of the counter columns that counter
+ * field `f` is built from. `found` reports whether any such column is
+ * in the schema (absent when the producing subsystem was not in the
+ * run).
+ */
+std::uint64_t intervalFieldTotal(const JsonValue &intervals,
+                                 const RunResultField &f,
+                                 bool *found = nullptr);
 
 /**
  * Validate a stats.json document against the schema and the accounting

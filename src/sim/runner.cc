@@ -345,50 +345,19 @@ runExperiment(const SystemConfig &cfg, Scheme scheme,
                          static_cast<double>(exec) / cores.size()
                    : 0.0;
 
-    out.sharedAccesses = system.sharedAccesses.value();
-    out.sharedLlcMisses = system.sharedLlcMisses.value();
-    out.localServedMisses = system.localServedMisses.value();
-    out.cxlServedMisses = system.cxlServedMisses.value();
-    out.interHostAccesses = system.interHostAccesses.value();
-    out.interHostStallCycles = system.interHostStallCycles.value();
-    out.mgmtStallCycles = system.mgmtStallCycles.value();
-    out.migrationTransferBytes = system.migrationTransferBytes.value();
-    out.osMigrations = system.osMigrations.value();
-    out.osDemotions = system.osDemotions.value();
-
-    if (PipmState *p = system.pipmState()) {
-        out.pipmPromotions = p->promotions.value();
-        out.pipmRevocations = p->revocations.value();
-        out.pipmLinesIn = p->linesIn.value();
-        out.pipmLinesBack = p->linesBack.value();
-    }
+    // Counter fields: sum their source columns over every stat group.
+    system.forEachStatGroup([&](StatGroup &g, const std::string &prefix) {
+        g.forEachCounter([&](const std::string &stat, const Counter &c) {
+            const std::string column = prefix + g.name() + '.' + stat;
+            for (const RunResultField &f : runResultFields) {
+                if (f.kind == RunResultField::counter && f.sums(column))
+                    out.*f.u64 += c.value();
+            }
+        });
+    });
     if (HarmfulTracker *t = system.harmfulTracker()) {
         out.harmfulMigrations = t->harmfulMigrations();
         out.totalTrackedMigrations = t->totalMigrations();
-    }
-    if (FaultInjector *f = system.faultInjector()) {
-        for (unsigned h = 0; h < cfg.numHosts; ++h)
-            out.linkCrcErrors +=
-                system.link(static_cast<HostId>(h)).crcErrors.value();
-        out.linkRetrainEvents = f->retrainEvents.value();
-        out.poisonEvents =
-            f->poisonTransient.value() + f->poisonPersistent.value();
-        out.degradedAccesses = f->degradedAccesses.value();
-        out.migrationAborts =
-            f->promotionAborts.value() + f->lineAborts.value();
-        out.migrationsDeferred = f->migrationsDeferred.value();
-        out.hostCrashes = f->hostCrashes.value();
-        out.hostRejoins = f->hostRejoins.value();
-        out.crashLinesReclaimed =
-            f->crashDirSwept.value() + f->crashLinesReclaimed.value();
-        out.crashDirtyLinesLost = f->crashDirtyLinesLost.value();
-        out.crashRecoveryCycles = f->crashRecoveryCycles.value();
-        out.suspicions = f->suspicions.value();
-        out.falseSuspicions = f->falseSuspicions.value();
-        out.fencedRequests = f->fencedRequests.value();
-        out.txnTimeouts = f->txnTimeouts.value();
-        out.txnRetries = f->txnRetries.value();
-        out.stallWindows = f->stallWindowsEntered.value();
     }
     out.pageFootprintFrac = samples ? page_frac_sum / samples : 0.0;
     out.lineFootprintFrac = samples ? line_frac_sum / samples : 0.0;

@@ -13,8 +13,10 @@
 #ifndef PIPM_SIM_RUNNER_HH
 #define PIPM_SIM_RUNNER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/config.hh"
 #include "sim/scheme.hh"
@@ -122,6 +124,17 @@ struct RunResult
     std::uint64_t txnRetries = 0;        ///< retries after a timeout
     std::uint64_t stallWindows = 0;      ///< gray-failure windows entered
 
+    // Device-metadata corruption (DESIGN.md §12; all zero unless
+    // fault.metaCorruptMeanIntervalNs > 0).
+    std::uint64_t metaCorruptions = 0;     ///< corruption events applied
+    std::uint64_t metaCorruptSkipped = 0;  ///< events with no victim entry
+    std::uint64_t metaScrubChecks = 0;     ///< quarantined entries validated
+    std::uint64_t metaScrubRepairs = 0;    ///< entries rebuilt in place
+    std::uint64_t metaJournalReplays = 0;  ///< remap entries replayed
+    std::uint64_t metaUnrepairable = 0;    ///< degraded or reclaimed hits
+    std::uint64_t metaBreakerTrips = 0;    ///< migration breakers opened
+    std::uint64_t metaBreakerHalfOpens = 0;///< breakers half-opened
+
     /** Fig. 13: mean per-host local footprint / total footprint. */
     double pageFootprintFrac = 0.0;
     /** Fig. 13 (PIPM-line): actually migrated lines / total footprint. */
@@ -146,6 +159,205 @@ struct RunResult
                          static_cast<double>(totalTrackedMigrations)
                    : 0.0;
     }
+};
+
+/**
+ * One row of the RunResult field table. Every export of a RunResult —
+ * the bench-cache TSV, the stats.json totals, fuzz::fingerprintResult,
+ * obs_report's cross-check and the fig10 fault summary — and
+ * runExperiment's extraction walk runResultFields instead of naming
+ * fields, so adding a field is two edits: the member and its row.
+ */
+struct RunResultField
+{
+    enum Kind
+    {
+        counter,   ///< uint64: sum of StatGroup counter columns at run end
+        computed,  ///< uint64 or double: worked out by runExperiment itself
+        derived,   ///< double: a function of other fields; never stored
+    };
+
+    const char *name;  ///< snake_case: stats.json totals key, TSV column
+    Kind kind;
+    bool fault;        ///< fault-injection domain (fig10 fault summary)
+    std::uint64_t RunResult::*u64;
+    double RunResult::*f64;
+    double (RunResult::*fn)() const;
+    /**
+     * Counter columns ("group.stat") a counter field sums. A leading '.'
+     * matches every column ending in it, e.g. ".link.crc_errors" sums
+     * the per-host "hostN.link.crc_errors" columns.
+     */
+    std::array<const char *, 2> sources;
+
+    /** Whether counter column `column` feeds this field. */
+    bool
+    sums(std::string_view column) const
+    {
+        for (const char *s : sources) {
+            if (!s)
+                continue;
+            const std::string_view src(s);
+            if (src.front() == '.' ? column.ends_with(src) : column == src)
+                return true;
+        }
+        return false;
+    }
+
+    /** The value as a double (any kind). */
+    double
+    real(const RunResult &r) const
+    {
+        return u64 ? static_cast<double>(r.*u64)
+                   : f64 ? r.*f64 : (r.*fn)();
+    }
+};
+
+namespace detail
+{
+
+constexpr RunResultField
+counterField(const char *name, std::uint64_t RunResult::*m,
+             const char *src, const char *src2 = nullptr,
+             bool fault = false)
+{
+    return {name, RunResultField::counter, fault, m, nullptr, nullptr,
+            {src, src2}};
+}
+
+constexpr RunResultField
+faultField(const char *name, std::uint64_t RunResult::*m, const char *src,
+           const char *src2 = nullptr)
+{
+    return counterField(name, m, src, src2, true);
+}
+
+constexpr RunResultField
+computedField(const char *name, std::uint64_t RunResult::*m)
+{
+    return {name, RunResultField::computed, false, m, nullptr, nullptr, {}};
+}
+
+constexpr RunResultField
+computedField(const char *name, double RunResult::*m)
+{
+    return {name, RunResultField::computed, false, nullptr, m, nullptr, {}};
+}
+
+constexpr RunResultField
+derivedField(const char *name, double (RunResult::*fn)() const)
+{
+    return {name, RunResultField::derived, false, nullptr, nullptr, fn, {}};
+}
+
+} // namespace detail
+
+/** Every RunResult measurement, in export order. */
+inline constexpr RunResultField runResultFields[] = {
+    detail::computedField("exec_cycles", &RunResult::execCycles),
+    detail::computedField("instructions", &RunResult::instructions),
+    detail::computedField("ipc", &RunResult::ipc),
+    detail::counterField("shared_accesses", &RunResult::sharedAccesses,
+                         "system.shared_accesses"),
+    detail::counterField("shared_llc_misses", &RunResult::sharedLlcMisses,
+                         "system.shared_llc_misses"),
+    detail::counterField("local_served_misses",
+                         &RunResult::localServedMisses,
+                         "system.local_served_misses"),
+    detail::counterField("cxl_served_misses", &RunResult::cxlServedMisses,
+                         "system.cxl_served_misses"),
+    detail::counterField("inter_host_accesses",
+                         &RunResult::interHostAccesses,
+                         "system.inter_host_accesses"),
+    detail::counterField("inter_host_stall_cycles",
+                         &RunResult::interHostStallCycles,
+                         "system.inter_host_stall_cycles"),
+    detail::counterField("mgmt_stall_cycles", &RunResult::mgmtStallCycles,
+                         "system.mgmt_stall_cycles"),
+    detail::counterField("migration_transfer_bytes",
+                         &RunResult::migrationTransferBytes,
+                         "system.migration_transfer_bytes"),
+    detail::counterField("os_migrations", &RunResult::osMigrations,
+                         "system.os_migrations"),
+    detail::counterField("os_demotions", &RunResult::osDemotions,
+                         "system.os_demotions"),
+    detail::counterField("pipm_promotions", &RunResult::pipmPromotions,
+                         "pipm.promotions"),
+    detail::counterField("pipm_revocations", &RunResult::pipmRevocations,
+                         "pipm.revocations"),
+    detail::counterField("pipm_lines_in", &RunResult::pipmLinesIn,
+                         "pipm.lines_in"),
+    detail::counterField("pipm_lines_back", &RunResult::pipmLinesBack,
+                         "pipm.lines_back"),
+    // Lifetime totals (the tracker is not reset at the warmup boundary),
+    // so they cannot be rebuilt from interval deltas.
+    detail::computedField("harmful_migrations",
+                          &RunResult::harmfulMigrations),
+    detail::computedField("total_tracked_migrations",
+                          &RunResult::totalTrackedMigrations),
+    detail::faultField("link_crc_errors", &RunResult::linkCrcErrors,
+                       ".link.crc_errors"),
+    detail::faultField("link_retrain_events", &RunResult::linkRetrainEvents,
+                       "fault.retrain_events"),
+    detail::faultField("poison_events", &RunResult::poisonEvents,
+                       "fault.poison_transient", "fault.poison_persistent"),
+    detail::faultField("degraded_accesses", &RunResult::degradedAccesses,
+                       "fault.degraded_accesses"),
+    detail::faultField("migration_aborts", &RunResult::migrationAborts,
+                       "fault.promotion_aborts", "fault.line_aborts"),
+    detail::faultField("migrations_deferred",
+                       &RunResult::migrationsDeferred,
+                       "fault.migrations_deferred"),
+    detail::faultField("host_crashes", &RunResult::hostCrashes,
+                       "fault.host_crashes"),
+    detail::faultField("host_rejoins", &RunResult::hostRejoins,
+                       "fault.host_rejoins"),
+    detail::faultField("crash_lines_reclaimed",
+                       &RunResult::crashLinesReclaimed,
+                       "fault.crash_dir_swept", "fault.crash_lines_reclaimed"),
+    detail::faultField("crash_dirty_lines_lost",
+                       &RunResult::crashDirtyLinesLost,
+                       "fault.crash_dirty_lines_lost"),
+    detail::faultField("crash_recovery_cycles",
+                       &RunResult::crashRecoveryCycles,
+                       "fault.crash_recovery_cycles"),
+    detail::faultField("suspicions", &RunResult::suspicions,
+                       "fault.suspicions"),
+    detail::faultField("false_suspicions", &RunResult::falseSuspicions,
+                       "fault.false_suspicions"),
+    detail::faultField("fenced_requests", &RunResult::fencedRequests,
+                       "fault.fenced_requests"),
+    detail::faultField("txn_timeouts", &RunResult::txnTimeouts,
+                       "fault.txn_timeouts"),
+    detail::faultField("txn_retries", &RunResult::txnRetries,
+                       "fault.txn_retries"),
+    detail::faultField("stall_windows", &RunResult::stallWindows,
+                       "fault.stall_windows"),
+    detail::faultField("meta_corruptions", &RunResult::metaCorruptions,
+                       "fault.meta_corruptions"),
+    detail::faultField("meta_corrupt_skipped",
+                       &RunResult::metaCorruptSkipped,
+                       "fault.meta_corrupt_skipped"),
+    detail::faultField("meta_scrub_checks", &RunResult::metaScrubChecks,
+                       "fault.meta_scrub_checks"),
+    detail::faultField("meta_scrub_repairs", &RunResult::metaScrubRepairs,
+                       "fault.meta_scrub_repairs"),
+    detail::faultField("meta_journal_replays",
+                       &RunResult::metaJournalReplays,
+                       "fault.meta_journal_replays"),
+    detail::faultField("meta_unrepairable", &RunResult::metaUnrepairable,
+                       "fault.meta_unrepairable"),
+    detail::faultField("meta_breaker_trips", &RunResult::metaBreakerTrips,
+                       "fault.meta_breaker_trips"),
+    detail::faultField("meta_breaker_half_opens",
+                       &RunResult::metaBreakerHalfOpens,
+                       "fault.meta_breaker_half_opens"),
+    detail::computedField("page_footprint_frac",
+                         &RunResult::pageFootprintFrac),
+    detail::computedField("line_footprint_frac",
+                         &RunResult::lineFootprintFrac),
+    detail::derivedField("local_hit_rate", &RunResult::localHitRate),
+    detail::derivedField("harmful_fraction", &RunResult::harmfulFraction),
 };
 
 /** Run one experiment. */

@@ -7,6 +7,7 @@
 #define PIPM_SIM_SCHEME_HH
 
 #include <array>
+#include <optional>
 #include <string_view>
 
 namespace pipm
@@ -62,6 +63,17 @@ toString(Scheme s)
       case Scheme::pipmNaive: return "pipm-naive";
     }
     return "?";
+}
+
+/** Inverse of toString over allSchemesExtended; nullopt when unknown. */
+constexpr std::optional<Scheme>
+schemeFromString(std::string_view name)
+{
+    for (Scheme s : allSchemesExtended) {
+        if (toString(s) == name)
+            return s;
+    }
+    return std::nullopt;
 }
 
 /** Does the scheme migrate whole pages through the OS (GIM remapping)? */

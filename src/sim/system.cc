@@ -2400,24 +2400,32 @@ MultiHostSystem::runEpoch(Cycles now)
 void
 MultiHostSystem::resetStats()
 {
-    stats_.resetAll();
-    for (auto &host : hosts_) {
-        host.caches->stats().resetAll();
-        host.dram->stats().resetAll();
-        host.link->stats().resetAll();
-        if (host.localRemap)
-            host.localRemap->stats().resetAll();
+    forEachStatGroup([](StatGroup &g, const std::string &) { g.resetAll(); });
+}
+
+void
+MultiHostSystem::forEachStatGroup(
+    const std::function<void(StatGroup &, const std::string &)> &fn)
+{
+    fn(stats_, "");
+    for (unsigned h = 0; h < cfg_.numHosts; ++h) {
+        const std::string prefix = "host" + std::to_string(h) + ".";
+        fn(hosts_[h].caches->stats(), prefix);
+        fn(hosts_[h].dram->stats(), prefix);
+        fn(hosts_[h].link->stats(), prefix);
+        if (hosts_[h].localRemap)
+            fn(hosts_[h].localRemap->stats(), prefix);
     }
-    deviceDir_.stats().resetAll();
-    cxlDram_.stats().resetAll();
+    fn(deviceDir_.stats(), "");
+    fn(cxlDram_.stats(), "");
     if (globalRemap_)
-        globalRemap_->stats().resetAll();
+        fn(globalRemap_->stats(), "");
     if (pipm_)
-        pipm_->stats().resetAll();
+        fn(pipm_->stats(), "");
     if (faults_)
-        faults_->stats().resetAll();
+        fn(faults_->stats(), "");
     if (switch_)
-        switch_->stats().resetAll();
+        fn(switch_->stats(), "");
 }
 
 void
@@ -2432,28 +2440,12 @@ MultiHostSystem::attachTrace(ObsTrace *trace)
 void
 MultiHostSystem::registerStats(MetricsRegistry &registry)
 {
-    // Mirror resetStats(): every group reset at the warmup boundary is
-    // registered, plus the harmful tracker (whose counters are lifetime
-    // totals — the registry's begin() baseline handles the offset).
-    registry.addGroup(stats_);
-    for (unsigned h = 0; h < cfg_.numHosts; ++h) {
-        const std::string prefix = "host" + std::to_string(h) + ".";
-        registry.addGroup(hosts_[h].caches->stats(), prefix);
-        registry.addGroup(hosts_[h].dram->stats(), prefix);
-        registry.addGroup(hosts_[h].link->stats(), prefix);
-        if (hosts_[h].localRemap)
-            registry.addGroup(hosts_[h].localRemap->stats(), prefix);
-    }
-    registry.addGroup(deviceDir_.stats());
-    registry.addGroup(cxlDram_.stats());
-    if (globalRemap_)
-        registry.addGroup(globalRemap_->stats());
-    if (pipm_)
-        registry.addGroup(pipm_->stats());
-    if (faults_)
-        registry.addGroup(faults_->stats());
-    if (switch_)
-        registry.addGroup(switch_->stats());
+    // Every group reset at the warmup boundary, plus the harmful tracker
+    // (whose counters are lifetime totals — the registry's begin()
+    // baseline handles the offset).
+    forEachStatGroup([&](StatGroup &g, const std::string &prefix) {
+        registry.addGroup(g, prefix);
+    });
     if (harmful_)
         registry.addGroup(harmful_->stats());
 }

@@ -22,6 +22,7 @@
 #define PIPM_SIM_SYSTEM_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -209,6 +210,14 @@ class MultiHostSystem
      * get a "hostN." prefix since their group names repeat across hosts.
      */
     void registerStats(MetricsRegistry &registry);
+
+    /**
+     * Visit every stat group reset at the warmup boundary, with the
+     * prefix registerStats gives it. (The harmful tracker's lifetime
+     * counters are not among them.)
+     */
+    void forEachStatGroup(
+        const std::function<void(StatGroup &, const std::string &)> &fn);
 
     // ---- Introspection ------------------------------------------------
 

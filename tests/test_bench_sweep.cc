@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_common.hh"
+#include "fuzz/fuzz.hh"
 #include "workloads/catalog.hh"
 
 namespace
@@ -126,10 +127,11 @@ TEST_F(SweepTest, MalformedCacheRowsAreSkippedAndDropped)
     const auto workload = workloadByName("pr", cfg.footprintScale);
     const Options opts = testOptions(cachePath("malformed"), 1);
 
-    // Seed the cache with garbage: a truncated row, a row with a bad
-    // key, and a row whose result columns don't parse.
+    // Seed the cache with garbage under a valid header: a truncated row,
+    // a row with a bad key, and a row whose result columns don't parse.
     {
         std::ofstream out(opts.cachePath);
+        out << cacheHeader() << '\n';
         out << "short\n";
         out << "zzzzzzzzzzzzzzzz\t1 2 3\n";
         out << "0123456789abcdef\tnot a number\n";
@@ -142,6 +144,8 @@ TEST_F(SweepTest, MalformedCacheRowsAreSkippedAndDropped)
 
     std::ifstream in(opts.cachePath);
     std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, cacheHeader());
     std::size_t rows = 0;
     while (std::getline(in, line)) {
         ++rows;
@@ -176,12 +180,74 @@ TEST_F(SweepTest, MergePreservesRowsWrittenByOthers)
 
     std::ifstream in(opts.cachePath);
     std::string line;
+    std::getline(in, line);   // header
     std::vector<std::string> keys;
     while (std::getline(in, line))
         keys.push_back(line.substr(0, 16));
     ASSERT_EQ(keys.size(), 2u);
     // Canonical order: sorted by key.
     EXPECT_LT(keys[0], keys[1]);
+}
+
+TEST_F(SweepTest, StaleOrMissingHeaderIsIgnoredAndRewritten)
+{
+    const SystemConfig cfg = defaultConfig();
+    const auto workload = workloadByName("pr", cfg.footprintScale);
+    const Options opts = testOptions(cachePath("header"), 1);
+    cachedRun(cfg, Scheme::native, *workload, opts);
+    const std::string good = slurp(opts.cachePath);
+    const std::string row = good.substr(good.find('\n') + 1);
+
+    // The same row without a header, and under a header that lacks the
+    // last column (an older layout): both files are ignored as a whole,
+    // so the lookup misses, re-simulates and rewrites the file.
+    const std::string header = cacheHeader();
+    for (const std::string &stale :
+         {row, header.substr(0, header.rfind('\t')) + '\n' + row}) {
+        {
+            std::ofstream out(opts.cachePath, std::ios::trunc);
+            out << stale;
+        }
+        testing::internal::CaptureStderr();
+        cachedRun(cfg, Scheme::native, *workload, opts);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("[bench] running"), std::string::npos) << err;
+        const auto warning = err.find("warning: ignoring cache");
+        EXPECT_NE(warning, std::string::npos) << err;
+        EXPECT_EQ(err.find("warning", warning + 1), std::string::npos)
+            << "one warning per stale file: " << err;
+        EXPECT_EQ(slurp(opts.cachePath), good);
+    }
+}
+
+TEST_F(SweepTest, CacheHitMatchesMissUnderSuspicionAndMetaFaults)
+{
+    // The §11 and §12 counters must survive the cache round trip, and a
+    // miss must return exactly what the following hit reads back.
+    SystemConfig suspect = defaultConfig();
+    suspect.fault = paperSuspicionFaultConfig(42);
+    SystemConfig meta = defaultConfig();
+    meta.fault = paperMetaFaultConfig(42);
+    const auto workload = workloadByName("pr", suspect.footprintScale);
+    const Options opts = testOptions(cachePath("faults"), 1);
+
+    const RunResult s_miss = cachedRun(suspect, Scheme::pipmFull,
+                                       *workload, opts);
+    ASSERT_GT(s_miss.suspicions, 0u);
+    const RunResult m_miss = cachedRun(meta, Scheme::pipmFull, *workload,
+                                       opts);
+    ASSERT_GT(m_miss.metaCorruptions, 0u);
+
+    testing::internal::CaptureStderr();
+    const RunResult s_hit = cachedRun(suspect, Scheme::pipmFull, *workload,
+                                      opts);
+    const RunResult m_hit = cachedRun(meta, Scheme::pipmFull, *workload,
+                                      opts);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(fuzz::fingerprintResult(s_miss),
+              fuzz::fingerprintResult(s_hit));
+    EXPECT_EQ(fuzz::fingerprintResult(m_miss),
+              fuzz::fingerprintResult(m_hit));
 }
 
 } // namespace

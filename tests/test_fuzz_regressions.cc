@@ -182,7 +182,7 @@ TEST(FuzzSelfTest, PlantedSchedulerSkewIsDetectedAndMinimized)
     SkewGuard skew(1);
     const auto verdict = sched.check(noisy);
     ASSERT_FALSE(verdict.ok) << "planted skew must be detected";
-    EXPECT_NE(verdict.detail.find("execCycles"), std::string::npos)
+    EXPECT_NE(verdict.detail.find("exec_cycles"), std::string::npos)
         << verdict.detail;
 
     const fuzz::MinimizedCase m = fuzz::minimizeCase(noisy, sched);

@@ -458,7 +458,9 @@ TEST(MetaOff, MeasurementKeyAndStatsJsonAreUntouched)
     runExperiment(tweaked, Scheme::pipmFull, *wl, run);
     const std::string da = slurp(pa);
     EXPECT_EQ(da, slurp(pb));
-    EXPECT_EQ(da.find("meta_"), std::string::npos);
+    // The meta_* totals are always exported (as 0); the conditionally
+    // registered fault.meta_* interval columns must not be.
+    EXPECT_EQ(da.find("fault.meta_"), std::string::npos);
     std::remove(pa.c_str());
     std::remove(pb.c_str());
 }
@@ -484,8 +486,8 @@ TEST(MetaOn, CorruptionChangesOnlyItsOwnDomain)
     EXPECT_EQ(a.execCycles, b.execCycles);
     const std::string da = slurp(pa);
     EXPECT_EQ(da, slurp(pb));
-    EXPECT_NE(da.find("meta_corruptions"), std::string::npos);
-    EXPECT_NE(da.find("meta_scrub_checks"), std::string::npos);
+    EXPECT_NE(da.find("fault.meta_corruptions"), std::string::npos);
+    EXPECT_NE(da.find("fault.meta_scrub_checks"), std::string::npos);
     std::remove(pa.c_str());
     std::remove(pb.c_str());
 }

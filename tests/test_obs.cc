@@ -300,6 +300,42 @@ slurp(const std::string &path)
     return buf.str();
 }
 
+/** stats.json totals and interval sums equal `r` for every table field. */
+void
+expectTotalsMatch(const JsonValue &doc, const RunResult &r)
+{
+    const JsonValue *totals = doc.find("totals");
+    ASSERT_TRUE(totals);
+    EXPECT_EQ(totals->obj.size(), std::size(runResultFields));
+    for (const RunResultField &f : runResultFields) {
+        const JsonValue *v = totals->find(f.name);
+        ASSERT_TRUE(v) << f.name;
+        if (f.u64)
+            EXPECT_EQ(v->asU64(), r.*f.u64) << f.name;
+        else
+            EXPECT_EQ(v->raw, jsonNumber(f.real(r))) << f.name;
+    }
+
+    // Interval accounting: counter columns sum to end-of-run totals.
+    const JsonValue *intervals = doc.find("intervals");
+    ASSERT_TRUE(intervals);
+    const JsonValue *counters = intervals->find("counters");
+    const JsonValue *samples = intervals->find("samples");
+    ASSERT_TRUE(counters && samples);
+    for (const RunResultField &f : runResultFields) {
+        if (f.kind != RunResultField::counter)
+            continue;
+        std::uint64_t sum = 0;
+        for (std::size_t i = 0; i < counters->arr.size(); ++i) {
+            if (!f.sums(counters->arr[i].raw))
+                continue;
+            for (const JsonValue &s : samples->arr)
+                sum += s.find("counters")->arr[i].asU64();
+        }
+        EXPECT_EQ(sum, r.*f.u64) << f.name;
+    }
+}
+
 TEST(StatsJson, ExportIsSchemaValidAndMatchesRunResult)
 {
     const std::string path = testing::TempDir() + "pipm_stats_a.json";
@@ -323,37 +359,8 @@ TEST(StatsJson, ExportIsSchemaValidAndMatchesRunResult)
     EXPECT_EQ(meta->find("seed")->asU64(), 42u);
     EXPECT_EQ(meta->find("interval_accesses")->asU64(), 3000u);
 
-    // Totals section mirrors the RunResult exactly.
-    const JsonValue *totals = doc->find("totals");
-    ASSERT_TRUE(totals);
-    EXPECT_EQ(totals->find("exec_cycles")->asU64(), r.execCycles);
-    EXPECT_EQ(totals->find("shared_llc_misses")->asU64(),
-              r.sharedLlcMisses);
-    EXPECT_EQ(totals->find("pipm_promotions")->asU64(),
-              r.pipmPromotions);
-
-    // Interval accounting: counter columns sum to end-of-run totals.
-    const JsonValue *intervals = doc->find("intervals");
-    ASSERT_TRUE(intervals);
-    const JsonValue *counters = intervals->find("counters");
-    const JsonValue *samples = intervals->find("samples");
-    ASSERT_TRUE(counters && samples);
-    EXPECT_GE(samples->arr.size(), 2u);
-    auto column_total = [&](const std::string &name) {
-        std::uint64_t sum = 0;
-        for (std::size_t i = 0; i < counters->arr.size(); ++i) {
-            if (counters->arr[i].raw != name)
-                continue;
-            for (const JsonValue &s : samples->arr)
-                sum += s.find("counters")->arr[i].asU64();
-        }
-        return sum;
-    };
-    EXPECT_EQ(column_total("system.shared_accesses"), r.sharedAccesses);
-    EXPECT_EQ(column_total("system.shared_llc_misses"),
-              r.sharedLlcMisses);
-    EXPECT_EQ(column_total("pipm.promotions"), r.pipmPromotions);
-    EXPECT_EQ(column_total("pipm.lines_in"), r.pipmLinesIn);
+    expectTotalsMatch(*doc, r);
+    EXPECT_GE(doc->find("intervals")->find("samples")->arr.size(), 2u);
 
     // Tracing was on: the section exists and is internally consistent.
     const JsonValue *trace = doc->find("trace");
@@ -362,6 +369,33 @@ TEST(StatsJson, ExportIsSchemaValidAndMatchesRunResult)
     EXPECT_EQ(trace->find("events")->arr.size(),
               std::min<std::uint64_t>(64u,
                                       trace->find("recorded")->asU64()));
+    std::remove(path.c_str());
+}
+
+TEST(StatsJson, TotalsCarryTheSuspicionAndMetadataCounters)
+{
+    // The §11 and §12 fault-domain counters reach the totals too.
+    const std::string path = testing::TempDir() + "pipm_stats_faults.json";
+    SystemConfig suspect = smallSystem();
+    suspect.fault = paperSuspicionFaultConfig(42);
+    SystemConfig meta = smallSystem();
+    meta.fault = paperMetaFaultConfig(42);
+    auto wl = smallWorkload();
+    const std::pair<SystemConfig, std::uint64_t RunResult::*> cases[] = {
+        {suspect, &RunResult::suspicions},
+        {meta, &RunResult::metaCorruptions},
+    };
+    for (const auto &[cfg, counter] : cases) {
+        const RunResult r =
+            runExperiment(cfg, Scheme::pipmFull, *wl, obsRun(path));
+        ASSERT_GT(r.*counter, 0u);
+        const std::string text = slurp(path);
+        for (const auto &e : validateStatsJson(text))
+            ADD_FAILURE() << e;
+        const auto doc = parseJson(text);
+        ASSERT_TRUE(doc);
+        expectTotalsMatch(*doc, r);
+    }
     std::remove(path.c_str());
 }
 

@@ -15,7 +15,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -48,8 +51,13 @@ class TraceTest : public ::testing::Test
     void
     SetUp() override
     {
+        // One directory per test and process: ctest runs every case as
+        // its own process, so a shared name would race under -j.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         dir_ = std::filesystem::temp_directory_path() /
-               "pipm_trace_subsystem_test";
+               ("pipm_trace_subsystem_test." + std::string(info->test_suite_name()) + "." +
+                info->name() + "." + std::to_string(getpid()));
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }

@@ -11,6 +11,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "workloads/catalog.hh"
@@ -27,8 +30,13 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
+        // One directory per test and process: ctest runs every case as
+        // its own process, so a shared name would race under -j.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         dir_ = std::filesystem::temp_directory_path() /
-               "pipm_trace_test_dir";
+               ("pipm_trace_test_dir." + std::string(info->test_suite_name()) + "." +
+                info->name() + "." + std::to_string(getpid()));
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }
