@@ -4,8 +4,8 @@
  *
  * Samples seeded random valid configurations (src/fuzz), runs each
  * under the cross-checking oracles, and greedily minimizes any failure
- * into a ready-to-paste regression test. On top of the four library
- * oracles (sched, faultzero, invariants, statsjson) this driver adds
+ * into a ready-to-paste regression test. On top of the library oracles
+ * (sched, faultzero, values, invariants, statsjson) this driver adds
  * the bench-layer "jobs" oracle: the same sweep executed with one and
  * with four worker threads must produce byte-identical bench-cache
  * files (the Sweep contract every figure harness depends on).
@@ -67,7 +67,8 @@ usage(std::ostream &os)
           "  --refs N         max measured references per core (4000)\n"
           "  --time-budget S  stop sampling after S seconds (0: none)\n"
           "  --oracle NAMES   comma-separated subset of: sched,\n"
-          "                   faultzero, invariants, statsjson, jobs\n"
+          "                   faultzero, values, invariants,\n"
+          "                   statsjson, jobs\n"
           "                   (default: all)\n"
           "  --out FILE       append failing seeds and minimized\n"
           "                   reproducers to FILE (for CI artifacts)\n"
@@ -195,7 +196,7 @@ main(int argc, char **argv)
     }
     refs = std::max<std::uint64_t>(refs, 4);
 
-    // Resolve the oracle set: the four library oracles plus "jobs".
+    // Resolve the oracle set: the library oracles plus "jobs".
     std::vector<Oracle> oracles;
     {
         std::vector<Oracle> all = coreOracles();
@@ -291,10 +292,11 @@ main(int argc, char **argv)
             *out << "# fuzz seed " << f.seed << ", oracle " << f.oracle
                  << "\n# " << describeCase(f.minimized.best) << "\n# "
                  << f.minimized.failure.detail << "\n";
-            const bool core =
-                f.oracle == "sched" || f.oracle == "faultzero" ||
-                f.oracle == "invariants" || f.oracle == "statsjson";
-            if (core) {
+            const std::vector<Oracle> core = coreOracles();
+            if (std::any_of(core.begin(), core.end(),
+                            [&f](const Oracle &o) {
+                                return o.name == f.oracle;
+                            })) {
                 // Ready-to-paste gtest reproducer.
                 *out << renderRegressionTest(f.minimized.best, f.oracle,
                                              f.seed)

@@ -13,18 +13,20 @@
  * Output: a human-readable table on stdout and a JSON summary written
  * to PIPM_BENCH_PERF_JSON (default ./BENCH_perf.json) for CI artifact
  * upload and cross-commit comparison. When PIPM_BENCH_PERF_BASELINE
- * points at a committed BENCH_perf.json, per-scheme refs/s are compared
- * against it and a >20% drop prints a warning — non-gating, because
- * refs/s is machine-dependent (exec_cycles is the deterministic field;
- * rates only compare meaningfully on the same runner class).
+ * points at a committed BENCH_perf.json measured with the same
+ * parameters, each scheme is compared against it: a >20% refs/s drop
+ * prints a warning — non-gating, because refs/s is machine-dependent —
+ * while any exec_cycles difference exits non-zero, because simulated
+ * cycles are deterministic and must not move without a deliberate
+ * model change.
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
@@ -46,31 +48,40 @@ readFile(const std::string &path)
     return in.good() || in.eof() ? buf.str() : std::string();
 }
 
+/** One scheme's timed run. */
+struct SchemeRun
+{
+    std::string scheme;
+    double refsPerS = 0.0;
+    std::uint64_t execCycles = 0;
+};
+
 /**
- * Compare this run's per-scheme rates against a committed baseline.
- * Prints warnings only; never fails the build. Parameter mismatches
- * (different refs, seed, workload or scheduler) void the comparison
- * since the rates would not be apples-to-apples.
+ * Compare this run's schemes against a committed baseline. A refs/s
+ * drop only warns. Parameter mismatches (different refs, seed, workload
+ * or scheduler) void the comparison, since neither figure would be
+ * apples-to-apples.
+ * @return false when the baseline cannot be read, or when a scheme's
+ *         exec_cycles differ from a baseline with matching parameters
  */
-void
+bool
 compareBaseline(const std::string &path, const std::string &workload,
                 const pipmbench::Options &opts, const std::string &sched,
-                const std::vector<std::pair<std::string, double>> &rates)
+                const std::vector<SchemeRun> &runs)
 {
     using pipm::JsonValue;
     const std::string text = readFile(path);
     if (text.empty()) {
-        std::fprintf(stderr,
-                     "[perf] baseline %s unreadable; skipping compare\n",
+        std::fprintf(stderr, "[perf] ERROR: baseline %s unreadable\n",
                      path.c_str());
-        return;
+        return false;
     }
     std::string err;
     const auto base = pipm::parseJson(text, &err);
     if (!base) {
-        std::fprintf(stderr, "[perf] baseline %s: %s; skipping compare\n",
+        std::fprintf(stderr, "[perf] ERROR: baseline %s: %s\n",
                      path.c_str(), err.c_str());
-        return;
+        return false;
     }
     const JsonValue *wl = base->find("workload");
     const JsonValue *refs = base->find("measure_refs_per_core");
@@ -86,31 +97,48 @@ compareBaseline(const std::string &path, const std::string &workload,
                      "[perf] baseline %s measured different parameters; "
                      "skipping compare\n",
                      path.c_str());
-        return;
+        return true;
     }
     const JsonValue *schemes = base->find("schemes");
     if (!schemes || !schemes->isArray())
-        return;
-    for (const auto &[name, rate] : rates) {
+        return true;
+    bool cycles_match = true;
+    for (const SchemeRun &run : runs) {
+        const char *name = run.scheme.c_str();
         for (const JsonValue &entry : schemes->arr) {
             const JsonValue *sn = entry.find("scheme");
-            const JsonValue *sr = entry.find("refs_per_s");
-            if (!sn || !sr || sn->raw != name || sr->num <= 0.0)
+            if (!sn || sn->raw != run.scheme)
                 continue;
-            const double ratio = rate / sr->num;
+            const JsonValue *sc = entry.find("exec_cycles");
+            if (sc && sc->asU64() != run.execCycles) {
+                std::fprintf(stderr,
+                             "[perf] ERROR: scheme %s simulated %llu "
+                             "cycles; the baseline has %llu\n",
+                             name,
+                             static_cast<unsigned long long>(
+                                 run.execCycles),
+                             static_cast<unsigned long long>(
+                                 sc->asU64()));
+                cycles_match = false;
+            }
+            const JsonValue *sr = entry.find("refs_per_s");
+            if (!sr || sr->num <= 0.0)
+                continue;
+            const double ratio = run.refsPerS / sr->num;
             if (ratio < 0.8) {
                 std::fprintf(stderr,
                              "[perf] WARNING: scheme %s at %.0f refs/s is "
                              "%.0f%% of the committed baseline (%.0f); "
                              "non-gating, but worth a look\n",
-                             name.c_str(), rate, ratio * 100.0, sr->num);
+                             name, run.refsPerS, ratio * 100.0, sr->num);
             } else {
                 std::fprintf(stderr,
-                             "[perf] scheme %s: %.2fx baseline\n",
-                             name.c_str(), ratio);
+                             "[perf] scheme %s: %.2fx baseline\n", name,
+                             ratio);
             }
         }
     }
+    return cycles_match;
 }
 
 } // namespace
@@ -152,7 +180,7 @@ main(int argc, char **argv)
 
     double total_s = 0.0;
     bool first = true;
-    std::vector<std::pair<std::string, double>> rates;
+    std::vector<SchemeRun> runs;
     for (Scheme s : allSchemes) {
         const auto t0 = clock::now();
         const RunResult r = runExperiment(cfg, s, *workload, run_cfg);
@@ -165,7 +193,7 @@ main(int argc, char **argv)
         table.row({std::string(toString(s)), TablePrinter::num(wall, 3),
                    TablePrinter::num(rate, 0),
                    std::to_string(r.execCycles)});
-        rates.emplace_back(std::string(toString(s)), rate);
+        runs.push_back({std::string(toString(s)), rate, r.execCycles});
         json << (first ? "" : ",") << "\n    {\"scheme\": \""
              << toString(s) << "\", \"wall_s\": " << wall
              << ", \"refs_per_s\": " << rate
@@ -200,7 +228,8 @@ main(int argc, char **argv)
         std::cout << "Wrote " << json_path << "\n";
 
     const std::string baseline = envStr("PIPM_BENCH_PERF_BASELINE", "");
-    if (!baseline.empty())
-        compareBaseline(baseline, workload->name(), opts, sched, rates);
+    if (!baseline.empty() &&
+        !compareBaseline(baseline, workload->name(), opts, sched, runs))
+        return 1;
     return 0;
 }

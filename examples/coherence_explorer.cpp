@@ -60,6 +60,7 @@ main()
 
     SystemConfig cfg = testConfig();
     cfg.numHosts = 2;
+    cfg.trackValues = true;   // the walk-through prints data tokens
     NoTraces workload;
     MultiHostSystem sys(cfg, Scheme::pipmFull, workload, 1);
     PipmState &pipm = *sys.pipmState();

@@ -28,6 +28,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -66,8 +67,10 @@ class SetAssoc
              ReplPolicy policy = ReplPolicy::lru, std::uint64_t seed = 1)
         : sets_(sets), ways_(ways), repl_(policy, seed),
           tags_(static_cast<std::size_t>(sets) * ways, 0),
-          keys_(static_cast<std::size_t>(sets) * ways, 0),
-          replWords_(static_cast<std::size_t>(sets) * ways, 0),
+          keys_(std::make_unique_for_overwrite<std::uint64_t[]>(
+              static_cast<std::size_t>(sets) * ways)),
+          replWords_(std::make_unique_for_overwrite<ReplWord[]>(
+              static_cast<std::size_t>(sets) * ways)),
           meta_(static_cast<std::size_t>(sets) * ways)
     {
         panic_if(sets == 0 || (sets & (sets - 1)) != 0,
@@ -257,7 +260,7 @@ class SetAssoc
     void
     forEach(const std::function<void(const Entry &)> &fn) const
     {
-        for (std::size_t i = 0; i < keys_.size(); ++i) {
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
             if (tags_[i])
                 fn(Entry{keys_[i], meta_[i]});
         }
@@ -324,7 +327,7 @@ class SetAssoc
             std::size_t &free_way) const
     {
         const std::uint8_t *tags = tags_.data() + base;
-        const std::uint64_t *keys = keys_.data() + base;
+        const std::uint64_t *keys = keys_.get() + base;
         free_way = npos;
         unsigned w = 0;
         for (; w + 8 <= ways_; w += 8) {
@@ -368,7 +371,7 @@ class SetAssoc
         const std::size_t base = baseOf(h);
         const std::uint8_t fp = fpOf(h);
         const std::uint8_t *tags = tags_.data() + base;
-        const std::uint64_t *keys = keys_.data() + base;
+        const std::uint64_t *keys = keys_.get() + base;
         unsigned w = 0;
         for (; w + 8 <= ways_; w += 8) {
             std::uint64_t m = swarMatchMask(swarLoad(tags + w), fp);
@@ -407,7 +410,7 @@ class SetAssoc
             // runs straight over the stored strip (same first-minimum
             // tie-break as Replacement::victim) — no scratch copy, no
             // out-of-line call on the capacity-fill hot path.
-            const ReplWord *words = replWords_.data() + base;
+            const ReplWord *words = replWords_.get() + base;
             victim_way = 0;
             for (unsigned w = 1; w < ways_; ++w) {
                 if (words[w] < words[victim_way])
@@ -439,9 +442,14 @@ class SetAssoc
     unsigned ways_;
     Replacement repl_;
     std::uint64_t useClock_ = 0;
+    // Only tags_ is zeroed at construction. A key is read only after its
+    // way's tag matched, and a replacement word only on a hit or once
+    // evictAndFill finds every way of the set filled — so neither array
+    // is ever read before it is written, and clearing them would only
+    // cost set-up time (megabytes for the device directory).
     std::vector<std::uint8_t> tags_;     ///< 0 = empty, else fingerprint
-    std::vector<std::uint64_t> keys_;    ///< confirmed on tag match only
-    std::vector<ReplWord> replWords_;    ///< touched on hit/fill only
+    std::unique_ptr<std::uint64_t[]> keys_;   ///< confirmed on tag match
+    std::unique_ptr<ReplWord[]> replWords_;   ///< touched on hit/fill only
     std::vector<Meta> meta_;             ///< touched on hit/fill only
 };
 

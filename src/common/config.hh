@@ -356,6 +356,15 @@ struct SystemConfig
     TlbModelConfig tlb;
     FaultConfig fault;
 
+    /**
+     * Track functional data values (the MemoryImage and the data tokens
+     * in AccessResult). Values never influence timing, so a run turns
+     * them on only when something can observe them: this flag, or
+     * fault.enabled (lost-line accounting compares values). Not part of
+     * measurementKey(): it changes no result.
+     */
+    bool trackValues = false;
+
     /** Capacities before footprint scaling (Table 2). */
     std::uint64_t localBytesPerHostFull = 32ull << 30;  ///< 32 GB
     std::uint64_t cxlPoolBytesFull = 128ull << 30;      ///< 128 GB

@@ -104,33 +104,51 @@ checkSched(const FuzzCase &c)
     return {};
 }
 
+/** Run two variants of one case; `what` names the pair in a failure. */
 OracleResult
-checkFaultZero(const FuzzCase &c)
+sameFingerprint(const std::string &what, const FuzzCase &a,
+                const FuzzCase &b)
 {
     ThrowGuard guard;
     try {
-        // Faults off entirely...
-        FuzzCase off = c;
-        off.cfg.fault = FaultConfig{};
-        // ...versus enabled with every rate at its zero default. The
-        // sampled fault seed is kept: a zero-rate schedule must make no
-        // draws, so the seed must not matter.
-        FuzzCase zero = c;
-        zero.cfg.fault = FaultConfig{};
-        zero.cfg.fault.enabled = true;
-        zero.cfg.fault.seed = c.cfg.fault.seed;
-        const RunResult roff = runCase(off, runConfigFor(off));
-        const RunResult rzero = runCase(zero, runConfigFor(zero));
-        const std::string foff = fingerprintResult(roff);
-        const std::string fzero = fingerprintResult(rzero);
-        if (foff != fzero)
-            return {false,
-                    "faults-off vs zero-rate faults diverge: " +
-                        firstDiff(foff, fzero)};
+        const std::string fa =
+            fingerprintResult(runCase(a, runConfigFor(a)));
+        const std::string fb =
+            fingerprintResult(runCase(b, runConfigFor(b)));
+        if (fa != fb)
+            return {false, what + " diverge: " + firstDiff(fa, fb)};
     } catch (const SimError &e) {
         return {false, "panic/fatal during run: " + e.message};
     }
     return {};
+}
+
+OracleResult
+checkFaultZero(const FuzzCase &c)
+{
+    // Faults off entirely...
+    FuzzCase off = c;
+    off.cfg.fault = FaultConfig{};
+    // ...versus enabled with every rate at its zero default. The
+    // sampled fault seed is kept: a zero-rate schedule must make no
+    // draws, so the seed must not matter.
+    FuzzCase zero = c;
+    zero.cfg.fault = FaultConfig{};
+    zero.cfg.fault.enabled = true;
+    zero.cfg.fault.seed = c.cfg.fault.seed;
+    return sameFingerprint("faults-off vs zero-rate faults", off, zero);
+}
+
+OracleResult
+checkValues(const FuzzCase &c)
+{
+    // Values never influence timing: tracking them must not move a
+    // single result field.
+    FuzzCase off = c;
+    off.cfg.trackValues = false;
+    FuzzCase on = c;
+    on.cfg.trackValues = true;
+    return sameFingerprint("values off vs on", off, on);
 }
 
 OracleResult
@@ -239,6 +257,7 @@ coreOracles()
     return {
         {"sched", checkSched},
         {"faultzero", checkFaultZero},
+        {"values", checkValues},
         {"invariants", checkInvariantsSweep},
         {"statsjson", checkStatsJson},
     };
@@ -247,11 +266,13 @@ coreOracles()
 Oracle
 coreOracle(const std::string &name)
 {
-    for (Oracle &o : coreOracles())
+    std::string known;
+    for (Oracle &o : coreOracles()) {
         if (o.name == name)
             return o;
-    fatal("unknown fuzz oracle '", name,
-          "' (expected sched, faultzero, invariants or statsjson)");
+        known += (known.empty() ? "" : ", ") + o.name;
+    }
+    fatal("unknown fuzz oracle '", name, "' (expected one of ", known, ")");
 }
 
 } // namespace fuzz

@@ -136,6 +136,7 @@ struct Oracle
  * The library-level oracle classes:
  *  - "sched":     heap vs scan scheduler RunResult byte-identity
  *  - "faultzero": faults-off vs faults-on-but-zero-rate identity
+ *  - "values":    value tracking off vs on RunResult identity
  *  - "invariants": PIPM_CHECK_INVARIANTS-style full-run sweep
  *  - "statsjson": every export validates and is byte-deterministic
  */

@@ -7,6 +7,10 @@
  * hash of their address, so data-value checks in integration tests are
  * meaningful even for lines never written. The image is sparse: only
  * written lines are stored.
+ *
+ * Values never influence timing, so an image built with tracking off
+ * (DESIGN.md §9, "value plane on demand") stores nothing: every read
+ * returns 0 and writes are dropped.
  */
 
 #ifndef PIPM_MEM_MEMORY_IMAGE_HH
@@ -24,6 +28,9 @@ namespace pipm
 class MemoryImage
 {
   public:
+    /** @param track_values false: reads return 0, writes do nothing */
+    explicit MemoryImage(bool track_values = true) : track_(track_values) {}
+
     /** The value a never-written line reads as. */
     static std::uint64_t
     pristine(LineAddr line)
@@ -37,11 +44,18 @@ class MemoryImage
     std::uint64_t
     read(LineAddr line) const
     {
+        if (!track_)
+            return 0;
         auto it = data_.find(line);
         return it == data_.end() ? pristine(line) : it->second;
     }
 
-    void write(LineAddr line, std::uint64_t value) { data_[line] = value; }
+    void
+    write(LineAddr line, std::uint64_t value)
+    {
+        if (track_)
+            data_[line] = value;
+    }
 
     /** Copy one line's value to another location (page migration). */
     void
@@ -53,7 +67,10 @@ class MemoryImage
     /** Pre-size for an expected written-line count (avoids rehash churn). */
     void reserve(std::uint64_t lines) { data_.reserve(lines); }
 
+    bool tracksValues() const { return track_; }
+
   private:
+    bool track_;
     FlatMap<LineAddr, std::uint64_t> data_;
 };
 

@@ -63,6 +63,7 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
       seed_(seed),
       space_(std::make_unique<AddressSpace>(cfg, workload.sharedBytes(),
                                             workload.privateBytesPerHost())),
+      mem_(cfg.trackValues || cfg.fault.enabled),
       deviceDir_(cfg.deviceDirectory),
       cxlDram_(cfg.cxlDram, "cxl_dram"),
       est_(LatencyEstimates::from(cfg)),
@@ -80,10 +81,12 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
     // point-wise — capacity history is unobservable). Benchmark-scale
     // runs write a few hundred thousand distinct lines, so the cap is
     // sized to absorb them without growth rehashes; the table is past
-    // LLC size either way at that point.
+    // LLC size either way at that point. An untracked image stores
+    // nothing and needs no table.
     const std::uint64_t shared_lines =
         space_->sharedPages() * linesPerPage;
-    mem_.reserve(std::min<std::uint64_t>(shared_lines, 1u << 17));
+    if (mem_.tracksValues())
+        mem_.reserve(std::min<std::uint64_t>(shared_lines, 1u << 17));
 
     if (cfg.fault.enabled) {
         faults_ = std::make_unique<FaultInjector>(
@@ -274,6 +277,11 @@ AccessResult
 MultiHostSystem::access(HostId h, CoreId c, const MemRef &ref,
                         Cycles now_in, std::uint64_t write_data)
 {
+    // Untracked values: the image reads 0, so dropping the written
+    // token too keeps every cached token, and so every returned one, 0.
+    if (!mem_.tracksValues())
+        write_data = 0;
+
     // Private-reference fast path (DESIGN.md §9): with no TLB modelled
     // a private access touches only this host's own hierarchy — skip
     // the virtual-namespace and shared-path plumbing below. Counters

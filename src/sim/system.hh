@@ -61,7 +61,9 @@ struct AccessResult
      * core's clock by it.
      */
     Cycles stall = 0;
-    std::uint64_t data = 0;   ///< data token read (reads only)
+    /** Data token read (reads only; 0 unless the run tracks values,
+     *  see SystemConfig::trackValues). */
+    std::uint64_t data = 0;
 };
 
 /** Analytic per-class latency estimates derived from a configuration. */
@@ -94,7 +96,8 @@ class MultiHostSystem
     /**
      * Execute one demand access issued by core `c` of host `h` at time
      * `now`. Includes any pending kernel stall charged to that core.
-     * @param write_data token stored by writes (ignored for reads)
+     * @param write_data token stored by writes (ignored for reads, and
+     *        dropped when the run does not track values)
      */
     AccessResult access(HostId h, CoreId c, const MemRef &ref, Cycles now,
                         std::uint64_t write_data = 0);
@@ -227,6 +230,7 @@ class MultiHostSystem
     PipmState *pipmState() { return pipm_.get(); }
     OsPolicy *osPolicy() { return osPolicy_.get(); }
     HarmfulTracker *harmfulTracker() { return harmful_.get(); }
+    /** The value plane; reads 0 unless values are tracked. */
     MemoryImage &memory() { return mem_; }
     CacheHierarchy &hierarchy(HostId h) { return *hosts_[h].caches; }
     DeviceDirectory &deviceDirectory() { return deviceDir_; }

@@ -67,6 +67,8 @@ checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
                                        : paperFaultConfig(fseed);
         if (opt.withMetaCorruption)
             addPaperMetaFaults(fcfg.fault);
+        // The last-writer oracle below reads values back.
+        fcfg.trackValues = true;
         DirectWorkload workload(shared_pages * pageBytes, 4 * pageBytes);
         Rng rng(seed * 0x51ed2701 + sched);
 

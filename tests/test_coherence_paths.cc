@@ -155,6 +155,7 @@ TEST(CoherencePaths, EvictionNotificationsKeepDirectoryPrecise)
 TEST(CoherencePaths, DirectoryRecallInvalidatesSharers)
 {
     SystemConfig cfg = testConfig();
+    cfg.trackValues = true;   // checks a recalled line's data below
     // Shrink the directory so recalls fire while lines are still cached.
     cfg.deviceDirectory.sets = 2;
     cfg.deviceDirectory.ways = 2;
@@ -181,6 +182,7 @@ TEST(CoherencePaths, DirectoryRecallInvalidatesSharers)
 TEST(CoherencePaths, PipmRevocationFlushesMeLines)
 {
     SystemConfig cfg = testConfig();
+    cfg.trackValues = true;   // checks the flushed line's data below
     StubWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 3);
     PipmState &pipm = *sys.pipmState();

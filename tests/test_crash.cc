@@ -444,15 +444,16 @@ TEST(CrashRemap, InFlightPromotionAborted)
     (void)r;
 }
 
-TEST(CrashRemap, PartialBitmapReintegratedWithLossAccounting)
+/**
+ * Promote page 0 to host 0 under PIPM, dirty every line of it (line i
+ * holds 1000 + i), stream other pages until some of those lines migrate
+ * into host 0's local frame, then crash host 0.
+ * @return the crash time
+ */
+Cycles
+crashAfterPartialMigration(MultiHostSystem &system)
 {
-    ThrowOnErrorGuard guard;
-    SystemConfig cfg = testConfig();
-    cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
-    MultiHostSystem system(cfg, Scheme::pipmFull, wl, 1);
     PipmState *pipm = system.pipmState();
-
     Cycles now = 0;
     const PageFrame page =
         pageOf(pageBase(system.space().sharedMapping(0).frame));
@@ -463,7 +464,7 @@ TEST(CrashRemap, PartialBitmapReintegratedWithLossAccounting)
                       1'000 + li);
         now += 500;
     }
-    ASSERT_TRUE(pipm->hasLocalEntry(0, page));
+    EXPECT_TRUE(pipm->hasLocalEntry(0, page));
 
     // Stream reads over many other pages to evict page 0's M lines,
     // incrementally migrating them into host 0's local frame (case 1).
@@ -473,9 +474,24 @@ TEST(CrashRemap, PartialBitmapReintegratedWithLossAccounting)
             now += 100;
         }
     }
-    ASSERT_GT(pipm->migratedLinesOn(0), 0u);
+    EXPECT_GT(pipm->migratedLinesOn(0), 0u);
 
     system.crashHost(0, now);
+    return now;
+}
+
+TEST(CrashRemap, PartialBitmapReintegratedWithLossAccounting)
+{
+    ThrowOnErrorGuard guard;
+    SystemConfig cfg = testConfig();
+    cfg.fault = quietFaults();
+    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    MultiHostSystem system(cfg, Scheme::pipmFull, wl, 1);
+    PipmState *pipm = system.pipmState();
+    const PageFrame page =
+        pageOf(pageBase(system.space().sharedMapping(0).frame));
+    const Cycles now = crashAfterPartialMigration(system);
+    ASSERT_FALSE(HasFailure());
 
     // All remap state of the dead host is reclaimed; the dirtied lines of
     // page 0 (whose latest values lived only with host 0) are lost.
@@ -496,6 +512,27 @@ TEST(CrashRemap, PartialBitmapReintegratedWithLossAccounting)
         EXPECT_EQ(r.data, home);
         EXPECT_NE(r.data, 1'000u + li);   // the written values died
     }
+}
+
+TEST(CrashRemap, LostLinesDoNotDependOnTrackValues)
+{
+    // Any fault-enabled run tracks values (lost-line accounting compares
+    // them), so a hand-made crash loses the same lines whether or not
+    // the configuration asks for values.
+    ThrowOnErrorGuard guard;
+    std::vector<LineAddr> lost[2];
+    for (const bool track : {false, true}) {
+        SystemConfig cfg = testConfig();
+        cfg.fault = quietFaults();
+        cfg.trackValues = track;
+        TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+        MultiHostSystem system(cfg, Scheme::pipmFull, wl, 1);
+        EXPECT_TRUE(system.memory().tracksValues());
+        crashAfterPartialMigration(system);
+        lost[track] = system.lostLines();
+    }
+    ASSERT_FALSE(lost[0].empty());
+    EXPECT_EQ(lost[0], lost[1]);
 }
 
 // ---- Rejoin and epochs --------------------------------------------------

@@ -122,6 +122,32 @@ TEST(FuzzRegressions, FaultZeroOracleAllDomainsAtZeroRate)
     EXPECT_TRUE(r.ok) << r.detail;
 }
 
+TEST(FuzzRegressions, ValuesOracleFaultFreePipm)
+{
+    // Fault-free, so the value plane really is off in the first run.
+    ThrowOnErrorGuard guard;
+    FuzzCase c = fuzz::defaultCase();
+    c.workload = "ycsb";
+    c.scheme = Scheme::pipmFull;
+    fuzz::repairCase(c);
+    ASSERT_TRUE(fuzz::caseValid(c));
+    ASSERT_FALSE(c.cfg.fault.enabled);
+    const auto r = fuzz::coreOracle("values").check(c);
+    EXPECT_TRUE(r.ok) << r.detail;
+}
+
+TEST(FuzzRegressions, UnknownOracleErrorNamesEveryOracle)
+{
+    ThrowOnErrorGuard guard;
+    try {
+        fuzz::coreOracle("no-such-oracle");
+        ADD_FAILURE() << "an unknown oracle name was accepted";
+    } catch (const SimError &e) {
+        for (const fuzz::Oracle &o : fuzz::coreOracles())
+            EXPECT_NE(e.message.find(o.name), std::string::npos) << o.name;
+    }
+}
+
 TEST(FuzzRegressions, InvariantsOracleMetaCorruptionSeed7)
 {
     ThrowOnErrorGuard guard;

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "fuzz/fuzz.hh"
 #include "obs/json.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/stats_json.hh"
@@ -410,6 +411,39 @@ TEST(StatsJson, SameSeedIsByteIdentical)
     EXPECT_EQ(slurp(pa), slurp(pb));
     std::remove(pa.c_str());
     std::remove(pb.c_str());
+}
+
+TEST(StatsJson, ValueTrackingChangesNoResultAndNoByte)
+{
+    // Values never influence timing (DESIGN.md §9): on the benchmark's
+    // two fault-free workloads, every scheme gives the same RunResult
+    // and the same stats.json bytes with the value plane off and on.
+    const std::string off_path =
+        testing::TempDir() + "pipm_stats_values_off.json";
+    const std::string on_path =
+        testing::TempDir() + "pipm_stats_values_on.json";
+    const SystemConfig off = defaultConfig();
+    SystemConfig on = off;
+    on.trackValues = true;
+    for (const char *name : {"pr", "ycsb"}) {
+        const auto wl = workloadByName(name, off.footprintScale);
+        for (Scheme s : allSchemes) {
+            RunConfig run = obsRun(off_path);
+            run.warmupRefsPerCore = 500;
+            run.measureRefsPerCore = 2'000;
+            run.obsIntervalAccesses = 8'000;
+            const RunResult roff = runExperiment(off, s, *wl, run);
+            run.statsJsonPath = on_path;
+            const RunResult ron = runExperiment(on, s, *wl, run);
+            EXPECT_EQ(fuzz::fingerprintResult(roff),
+                      fuzz::fingerprintResult(ron))
+                << name << ' ' << toString(s);
+            EXPECT_EQ(slurp(off_path), slurp(on_path))
+                << name << ' ' << toString(s);
+        }
+    }
+    std::remove(off_path.c_str());
+    std::remove(on_path.c_str());
 }
 
 TEST(StatsJson, SchemesWithoutPipmValidateToo)

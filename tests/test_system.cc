@@ -48,6 +48,15 @@ class TinyWorkload : public Workload
     std::uint64_t private_;
 };
 
+/** testConfig() with the value plane on: these tests check data. */
+SystemConfig
+valueConfig()
+{
+    SystemConfig cfg = testConfig();
+    cfg.trackValues = true;
+    return cfg;
+}
+
 MemRef
 sharedRef(std::uint64_t page, unsigned line, MemOp op)
 {
@@ -71,7 +80,7 @@ class SystemTest : public ::testing::TestWithParam<Scheme>
 {
   protected:
     SystemTest()
-        : cfg_(testConfig()),
+        : cfg_(valueConfig()),
           workload_(64 * pageBytes, 8 * pageBytes),
           system_(cfg_, GetParam(), workload_, 7)
     {
@@ -204,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SystemPipm, PromotionAndIncrementalMigrationLifecycle)
 {
-    SystemConfig cfg = testConfig();
+    SystemConfig cfg = valueConfig();
     TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
@@ -250,7 +259,7 @@ TEST(SystemPipm, PromotionAndIncrementalMigrationLifecycle)
 
 TEST(SystemPipm, InterHostAccessMigratesLineBack)
 {
-    SystemConfig cfg = testConfig();
+    SystemConfig cfg = valueConfig();
     TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
@@ -289,7 +298,7 @@ TEST(SystemPipm, InterHostAccessMigratesLineBack)
 
 TEST(SystemOs, EpochMigratesHotPageAndChargesStalls)
 {
-    SystemConfig cfg = testConfig();
+    SystemConfig cfg = valueConfig();
     TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::memtis, wl, 7);
 
@@ -337,7 +346,7 @@ TEST(SystemOs, EpochMigratesHotPageAndChargesStalls)
 
 TEST(SystemGim, RemoteWritesReachTheOwnerCopy)
 {
-    SystemConfig cfg = testConfig();
+    SystemConfig cfg = valueConfig();
     TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::nomad, wl, 7);
 
