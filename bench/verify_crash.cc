@@ -83,7 +83,8 @@ main(int argc, char **argv)
     table.header({"scheme", "result", "schedules", "accesses", "crashes",
                   "rejoins", "lost"});
     bool all_ok = true;
-    for (Scheme s : {Scheme::pipmFull, Scheme::hwStatic}) {
+    for (Scheme s :
+         {Scheme::pipmFull, Scheme::hwStatic, Scheme::pipmNaive}) {
         const FaultCheckResult result = checkFaultSchedules(
             cfg, s, schedules, accesses, seed, /*with_crashes=*/true);
         all_ok = all_ok && result.ok;

@@ -144,7 +144,8 @@ main(int argc, char **argv)
     std::uint64_t total_unrepairable = 0;
     std::uint64_t total_trips = 0;
     std::uint64_t total_half_opens = 0;
-    for (Scheme s : {Scheme::pipmFull, Scheme::hwStatic}) {
+    for (Scheme s :
+         {Scheme::pipmFull, Scheme::hwStatic, Scheme::pipmNaive}) {
         const FaultCheckResult result =
             checkFaultSchedules(cfg, s, schedules, accesses, seed, opt);
         all_ok = all_ok && result.ok;

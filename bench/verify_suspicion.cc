@@ -100,7 +100,8 @@ main(int argc, char **argv)
                   "false", "fenced", "retries", "lost"});
     bool all_ok = true;
     std::uint64_t total_false = 0;
-    for (Scheme s : {Scheme::pipmFull, Scheme::hwStatic}) {
+    for (Scheme s :
+         {Scheme::pipmFull, Scheme::hwStatic, Scheme::pipmNaive}) {
         const FaultCheckResult result = checkFaultSchedules(
             cfg, s, schedules, accesses, seed,
             FaultCheckOptions{/*withCrashes=*/true,
