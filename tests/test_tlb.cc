@@ -136,6 +136,27 @@ TEST(TlbSystem, OsMigrationShootsDownAllCores)
     }
 }
 
+TEST(TlbSystem, SharedMissSampleExcludesTranslation)
+{
+    // A cold read of a shared page OS-migrated to the requesting host:
+    // as on every other path, the shared and local miss-latency samples
+    // hold the miss alone, not the TLB walk charged in front of it.
+    TlbStub wl;
+    SystemConfig on_cfg = testConfig();
+    on_cfg.tlb.enabled = true;
+    MultiHostSystem off(testConfig(), Scheme::native, wl, 3);
+    MultiHostSystem on(on_cfg, Scheme::native, wl, 3);
+    ASSERT_TRUE(off.space().migrateSharedToHost(4, 0));
+    ASSERT_TRUE(on.space().migrateSharedToHost(4, 0));
+
+    const Cycles miss = off.access(0, 0, ref(4, 0), 0).latency;
+    const Cycles with_tlb = on.access(0, 0, ref(4, 0), 0).latency;
+    ASSERT_GT(with_tlb, miss);
+    EXPECT_EQ(on.avgSharedMissLatency.count(), 1u);
+    EXPECT_EQ(on.avgSharedMissLatency.mean(), static_cast<double>(miss));
+    EXPECT_EQ(on.avgLocalMissLatency.mean(), static_cast<double>(miss));
+}
+
 TEST(TlbSystem, DisabledByDefault)
 {
     SystemConfig cfg = testConfig();
