@@ -332,6 +332,54 @@ TEST(SuspicionTimeout, RetryExhaustionSuspectsDeadOwner)
     system.checkInvariants();
 }
 
+TEST(SuspicionReclaim, NaiveReclaimSkipsDeadUnsweptOwner)
+{
+    // pipm-naive: host 0 owns a partially migrated page, and host 1
+    // takes one of its migrated lines in M through the naive redirect,
+    // then dies and lingers unswept. Reclaiming host 0 must not read
+    // host 1's (empty) cache; the line goes through the loss check, and
+    // host 1's own sweep later drops its entry.
+    ThrowOnErrorGuard guard;
+    SystemConfig cfg = testConfig();
+    cfg.fault = leaseFaults();
+    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    MultiHostSystem system(cfg, Scheme::pipmNaive, wl, 7);
+
+    Cycles now = 0;
+    for (unsigned i = 0; i < cfg.pipm.migrationThreshold; ++i) {
+        system.access(0, 0, sharedRef(2, i, MemOp::write), now, i);
+        now += 5'000;
+    }
+    for (std::uint64_t p = 20; p < 64; ++p) {
+        for (unsigned l = 0; l < linesPerPage; l += 2) {
+            system.access(0, 0, sharedRef(p, l, MemOp::read), now);
+            now += 500;
+        }
+    }
+    const PageFrame page = pageOf(pageBase(system.space().sharedFrame(2)));
+    unsigned li = linesPerPage;
+    for (unsigned l = 0; l < linesPerPage && li == linesPerPage; ++l) {
+        if (system.pipmState()->lineMigrated(0, page, l))
+            li = l;
+    }
+    ASSERT_LT(li, linesPerPage);
+
+    system.access(1, 0, sharedRef(2, li, MemOp::write), now, 99);
+    const LineAddr line = homeLine(system, 2, li);
+    const DirEntry *entry = system.deviceDirectory().probe(line);
+    ASSERT_NE(entry, nullptr);
+    ASSERT_EQ(entry->state, DevState::M);
+    ASSERT_TRUE(entry->has(1));
+
+    system.crashHost(1, now + 1'000);
+    system.crashHost(0, now + 2'000);
+    EXPECT_NO_THROW(system.suspectHost(0, now + 3'000));
+    EXPECT_FALSE(system.pipmState()->lineMigrated(0, page, li));
+    EXPECT_NO_THROW(system.suspectHost(1, now + 4'000));
+    EXPECT_EQ(system.deviceDirectory().probe(line), nullptr);
+    system.checkInvariants();
+}
+
 // ---- Gray-failure fencing -----------------------------------------------
 
 TEST(SuspicionFence, FalseSuspicionFencesAliveHostAndReadmitsCold)

@@ -428,6 +428,54 @@ TEST(SystemPipm, PinnedPagesStayInCxlAndUnpinningRevokes)
     sys.checkInvariants();
 }
 
+TEST(SystemNaive, UnrepairableEntryOfMigratedLineServesHomeDegraded)
+{
+    // pipm-naive keeps directory entries for migrated lines, so metadata
+    // corruption can hit one. When the entry is unrepairable the line is
+    // poisoned onto the degraded path, which serves the CXL home: the
+    // home must carry the latest value and the naive redirect must stop
+    // taking the line.
+    SystemConfig cfg = valueConfig();
+    cfg.fault.enabled = true;
+    cfg.fault.metaCorruptMeanIntervalNs = 1e15;   // guards on, no events
+    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    MultiHostSystem sys(cfg, Scheme::pipmNaive, wl, 7);
+
+    Cycles now = 0;
+    for (unsigned i = 0; i < cfg.pipm.migrationThreshold; ++i) {
+        sys.access(0, 0, sharedRef(2, i, MemOp::write), now, i);
+        now += 5'000;
+    }
+    for (std::uint64_t p = 20; p < 64; ++p) {
+        for (unsigned l = 0; l < linesPerPage; l += 2) {
+            sys.access(0, 0, sharedRef(p, l, MemOp::read), now);
+            now += 500;
+        }
+    }
+    const PageFrame page = pageOf(pageBase(sys.space().sharedFrame(2)));
+    unsigned li = linesPerPage;
+    for (unsigned l = 0; l < linesPerPage && li == linesPerPage; ++l) {
+        if (sys.pipmState()->lineMigrated(0, page, l))
+            li = l;
+    }
+    ASSERT_LT(li, linesPerPage);
+
+    // Host 1 writes the migrated line through the naive redirect and
+    // holds it dirty in M; then its entry is corrupted beyond repair.
+    sys.access(1, 0, sharedRef(2, li, MemOp::write), now, 99);
+    const LineAddr line =
+        lineOf(pageBase(sys.space().sharedFrame(2)) + li * lineBytes);
+    ASSERT_TRUE(sys.deviceDirectory().corruptEntry(line, 0xff, true));
+
+    const AccessResult r =
+        sys.access(0, 0, sharedRef(2, li, MemOp::read), now + 10'000);
+    EXPECT_EQ(r.data, 99u);
+    EXPECT_FALSE(sys.pipmState()->lineMigrated(0, page, li));
+    EXPECT_EQ(sys.hierarchy(0).stateOf(line), HostState::I);
+    EXPECT_EQ(sys.faultInjector()->degradedAccesses.value(), 1u);
+    sys.checkInvariants();
+}
+
 TEST(SystemNaive, NaiveCoherencePaysDeviceRoundTripsOnLocalHits)
 {
     SystemConfig cfg = testConfig();
