@@ -78,13 +78,12 @@ deserialize(const std::string &line, RunResult &r)
 /** Cache key of one experiment (16 hex chars). */
 std::string
 experimentKey(const SystemConfig &cfg, Scheme scheme,
-              const Workload &workload, const Options &opts,
-              const std::string &extra_key)
+              const Workload &workload, const Options &opts)
 {
     std::ostringstream key_src;
     key_src << workload.fingerprint() << '|' << toString(scheme) << '|'
-            << configKey(cfg) << '|' << opts.measureRefs << '|'
-            << opts.warmupRefs << '|' << opts.seed << '|' << extra_key;
+            << cfg.measurementKey() << '|' << opts.measureRefs << '|'
+            << opts.warmupRefs << '|' << opts.seed;
     return fnv1aHex(key_src.str());
 }
 
@@ -254,15 +253,6 @@ runConfigOf(const Options &opts)
     return run;
 }
 
-std::string
-configKey(const SystemConfig &cfg)
-{
-    // The fingerprint moved into SystemConfig (the stats.json exporter
-    // hashes it too); the format is byte-identical to what this function
-    // always produced, so existing cache files stay valid.
-    return cfg.measurementKey();
-}
-
 bool
 applyEnvFaults(SystemConfig &cfg)
 {
@@ -292,11 +282,10 @@ applyEnvFaults(SystemConfig &cfg)
 
 RunResult
 cachedRun(const SystemConfig &cfg, Scheme scheme, const Workload &workload,
-          const Options &opts, const std::string &extra_key)
+          const Options &opts)
 {
     cfg.validate();
-    const std::string key =
-        experimentKey(cfg, scheme, workload, opts, extra_key);
+    const std::string key = experimentKey(cfg, scheme, workload, opts);
 
     RunResult r;
     r.workload = workload.name();
@@ -306,10 +295,9 @@ cachedRun(const SystemConfig &cfg, Scheme scheme, const Workload &workload,
         it != rows.end() && deserialize(it->second, r))
         return r;
 
-    std::fprintf(stderr, "[bench] running %s/%s%s%s...\n",
+    std::fprintf(stderr, "[bench] running %s/%s...\n",
                  workload.name().c_str(),
-                 std::string(toString(scheme)).c_str(),
-                 extra_key.empty() ? "" : " ", extra_key.c_str());
+                 std::string(toString(scheme)).c_str());
     RunConfig run_cfg = runConfigOf(opts);
     // No stats.json from cached experiments: a cache hit would not
     // re-run the simulation, so the file would ambiguously reflect
@@ -325,13 +313,11 @@ cachedRun(const SystemConfig &cfg, Scheme scheme, const Workload &workload,
 }
 
 void
-Sweep::add(const SystemConfig &cfg, Scheme scheme, const Workload &workload,
-           const std::string &extra_key)
+Sweep::add(const SystemConfig &cfg, Scheme scheme, const Workload &workload)
 {
     cfg.validate();
-    items_.push_back(Item{
-        cfg, scheme, &workload, extra_key,
-        experimentKey(cfg, scheme, workload, opts_, extra_key)});
+    items_.push_back(Item{cfg, scheme, &workload,
+                          experimentKey(cfg, scheme, workload, opts_)});
 }
 
 std::size_t
@@ -373,11 +359,9 @@ Sweep::run()
             if (i >= todo.size())
                 return;
             const Item &item = *todo[i];
-            std::fprintf(stderr, "[bench] running %s/%s%s%s...\n",
+            std::fprintf(stderr, "[bench] running %s/%s...\n",
                          item.workload->name().c_str(),
-                         std::string(toString(item.scheme)).c_str(),
-                         item.extraKey.empty() ? "" : " ",
-                         item.extraKey.c_str());
+                         std::string(toString(item.scheme)).c_str());
             results[i] = serialize(runExperiment(
                 item.cfg, item.scheme, *item.workload, run_cfg));
         }

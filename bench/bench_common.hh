@@ -91,16 +91,11 @@ void handleHarnessArgs(int argc, char **argv, const char *name,
 /** Build the RunConfig corresponding to the options. */
 pipm::RunConfig runConfigOf(const Options &opts);
 
-/**
- * Run (or load from cache) one experiment.
- * @param extra_key disambiguates runs whose difference is not captured by
- *        the config fingerprint (should normally be empty)
- */
+/** Run (or load from cache) one experiment. */
 pipm::RunResult cachedRun(const pipm::SystemConfig &cfg,
                           pipm::Scheme scheme,
                           const pipm::Workload &workload,
-                          const Options &opts,
-                          const std::string &extra_key = "");
+                          const Options &opts);
 
 /**
  * A batch of experiments executed on a thread pool.
@@ -120,8 +115,7 @@ class Sweep
 
     /** Enqueue one experiment (the config is copied). */
     void add(const pipm::SystemConfig &cfg, pipm::Scheme scheme,
-             const pipm::Workload &workload,
-             const std::string &extra_key = "");
+             const pipm::Workload &workload);
 
     /**
      * Simulate every enqueued experiment the cache does not hold and
@@ -136,7 +130,6 @@ class Sweep
         pipm::SystemConfig cfg;
         pipm::Scheme scheme;
         const pipm::Workload *workload;
-        std::string extraKey;
         std::string key;
     };
 
@@ -150,9 +143,6 @@ class Sweep
  * replaced by the next merge.
  */
 std::string cacheHeader();
-
-/** Fingerprint of every config field that affects measurements. */
-std::string configKey(const pipm::SystemConfig &cfg);
 
 /**
  * Enable the paper-default fault schedule on `cfg` when the

@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -15,6 +16,23 @@ bool
 inUnit(double p)
 {
     return p >= 0.0 && p <= 1.0;
+}
+
+/** Whether a field gated by `g` can change a result under `cfg`. */
+bool
+keyed(const SystemConfig &cfg, KeyGate g)
+{
+    const FaultConfig &f = cfg.fault;
+    switch (g) {
+      case KeyGate::always: return true;
+      case KeyGate::faults: return f.enabled;
+      case KeyGate::crash: return f.enabled && f.crashMeanIntervalNs > 0.0;
+      case KeyGate::lease: return f.enabled && f.leaseNs > 0.0;
+      case KeyGate::meta:
+        return f.enabled && f.metaCorruptMeanIntervalNs > 0.0;
+      case KeyGate::never: return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -242,72 +260,22 @@ SystemConfig::validate() const
 std::string
 SystemConfig::measurementKey() const
 {
-    std::ostringstream os;
-    os << numHosts << ',' << coresPerHost << ','
-       << core.mshrs << ',' << l1Bytes() << ','
-       << llcBytesPerCore() << ',' << link.latencyNs << ','
-       << link.bytesPerNs << ',' << link.hasSwitch << ','
-       << deviceDirectory.sets << ',' << pipm.globalCacheBytes
-       << ',' << pipm.localCacheBytes << ','
-       << pipm.infiniteGlobalCache << ','
-       << pipm.infiniteLocalCache << ','
-       << pipm.migrationThreshold << ','
-       << osMigration.intervalMs << ','
-       << osMigration.maxPagesPerEpoch << ','
-       << osMigration.hotThreshold << ','
-       << footprintScale << ',' << timeScale << ','
-       << migrationBytesScale << ',' << l1Scale << ','
-       << llcScale;
-    if (fault.enabled) {
-        // Appended only when faults are on so that fault-free keys (and
-        // the entries cached before fault injection existed) are stable.
-        os << ",fault:" << fault.seed << ',' << fault.linkErrorRate
-           << ',' << fault.retrainIntervalNs << ','
-           << fault.retrainWindowNs << ',' << fault.poisonRate
-           << ',' << fault.persistentPoisonFrac << ','
-           << fault.migrationAbortRate << ','
-           << fault.backoffWindow << ',' << fault.backoffThreshold
-           << ',' << fault.backoffBaseNs << ','
-           << fault.backoffMaxExp;
-        if (fault.crashMeanIntervalNs > 0.0) {
-            // Appended only when a crash schedule is on, keeping crash-free
-            // fault keys identical to what they were before host crashes
-            // existed.
-            os << ",crash:" << fault.crashMeanIntervalNs << ','
-               << fault.crashRejoinNs << ','
-               << fault.crashMaxEvents << ','
-               << static_cast<unsigned>(fault.crashRecovery);
-        }
-        if (fault.leaseNs > 0.0) {
-            // Appended only when the lease detector is on, keeping
-            // oracle-mode (leaseNs == 0) keys identical to what they were
-            // before detected failures existed.
-            os << ",lease:" << fault.leaseNs << ','
-               << fault.heartbeatIntervalNs << ',' << fault.txnTimeoutNs
-               << ',' << fault.txnRetryLimit << ','
-               << fault.txnBackoffBaseNs << ',' << fault.txnBackoffMaxExp
-               << ',' << fault.readmitDelayNs << ','
-               << fault.stallMeanIntervalNs << ',' << fault.stallWindowNs
-               << ',' << fault.stallMaxEvents;
-        }
-        if (fault.metaCorruptMeanIntervalNs > 0.0) {
-            // Appended only when metadata corruption is on, keeping
-            // corruption-free keys identical to what they were before the
-            // device-metadata fault domain existed.
-            os << ",meta:" << fault.metaCorruptMeanIntervalNs << ','
-               << fault.metaCorruptMaxEvents << ','
-               << fault.metaShadowHitFrac << ','
-               << fault.metaJournalPages << ','
-               << fault.metaScrubIntervalNs << ','
-               << fault.metaScrubBudget << ','
-               << fault.metaBreakerThreshold << ','
-               << fault.metaBreakerWindowNs << ','
-               << fault.metaBreakerCooldownNs << ','
-               << fault.metaBreakerMaxExp << ','
-               << fault.metaBreakerGroupPages;
-        }
-    }
-    return os.str();
+    std::string key;
+    forEachField(*this, [&](const char *path, const auto &v, KeyGate g) {
+        if (!keyed(*this, g))
+            return;
+        // Shortest text that parses back to the same value, so two
+        // configs whose doubles differ never share a key.
+        char buf[32];
+        std::to_chars_result r;
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+            r = std::to_chars(buf, buf + sizeof buf, v);
+        else
+            r = std::to_chars(buf, buf + sizeof buf,
+                              static_cast<std::uint64_t>(v));
+        key.append(path).append(1, '=').append(buf, r.ptr).append(1, ',');
+    });
+    return key;
 }
 
 std::string

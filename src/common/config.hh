@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hh"
 
@@ -360,8 +361,8 @@ struct SystemConfig
      * Track functional data values (the MemoryImage and the data tokens
      * in AccessResult). Values never influence timing, so a run turns
      * them on only when something can observe them: this flag, or
-     * fault.enabled (lost-line accounting compares values). Not part of
-     * measurementKey(): it changes no result.
+     * fault.enabled (lost-line accounting compares values). Gated
+     * KeyGate::never: it changes no result.
      */
     bool trackValues = false;
 
@@ -509,14 +510,157 @@ struct SystemConfig
     std::string describe() const;
 
     /**
-     * Canonical one-line key over every measurement-relevant field,
-     * including the fault/crash schedule when enabled. Two configs with
-     * equal keys produce bit-identical runs; the bench cache and the
-     * stats.json exporter both key on (hashes of) this string, so the
-     * format must stay stable.
+     * Canonical one-line key: `path=value,` for every row of the field
+     * table (forEachField) whose KeyGate is on, doubles written so they
+     * round-trip. Two configs with equal keys produce bit-identical runs;
+     * the bench cache and the stats.json exporter both key on (hashes
+     * of) this string, so any change to the table changes every key and
+     * the committed bench cache must be regenerated.
      */
     std::string measurementKey() const;
 };
+
+/**
+ * The switch under which a SystemConfig field can change a result, and
+ * so takes part in measurementKey(). A field whose domain is off is
+ * inert: a disabled fault, crash, lease or metadata domain adds nothing
+ * to the key, so tweaking its knobs cannot split cache rows.
+ */
+enum class KeyGate : std::uint8_t
+{
+    always,
+    faults,   ///< fault.enabled
+    crash,    ///< fault.enabled && fault.crashMeanIntervalNs > 0
+    lease,    ///< fault.enabled && fault.leaseNs > 0
+    meta,     ///< fault.enabled && fault.metaCorruptMeanIntervalNs > 0
+    never     ///< changes no result (trackValues)
+};
+
+/**
+ * The one list of SystemConfig fields: calls f(path, field, gate) for
+ * each, where `field` is a reference into `cfg` (mutable when `cfg` is).
+ * measurementKey() and the fuzz minimizer's signature and C++ rendering
+ * all walk it, so adding a SystemConfig field means adding a row here.
+ */
+template <typename Config, typename F>
+void
+forEachField(Config &cfg, F &&f)
+{
+    static_assert(std::is_same_v<std::remove_const_t<Config>, SystemConfig>);
+#define PIPM_FIELD(path, gate) f(#path, cfg.path, KeyGate::gate)
+    PIPM_FIELD(numHosts, always);
+    PIPM_FIELD(coresPerHost, always);
+    PIPM_FIELD(core.width, always);
+    PIPM_FIELD(core.robEntries, always);
+    PIPM_FIELD(core.loadQueue, always);
+    PIPM_FIELD(core.storeQueue, always);
+    PIPM_FIELD(core.mshrs, always);
+    PIPM_FIELD(core.mshrLatencyThreshold, always);
+    PIPM_FIELD(l1.sizeBytes, always);
+    PIPM_FIELD(l1.ways, always);
+    PIPM_FIELD(l1.roundTrip, always);
+    PIPM_FIELD(llcPerCore.sizeBytes, always);
+    PIPM_FIELD(llcPerCore.ways, always);
+    PIPM_FIELD(llcPerCore.roundTrip, always);
+    PIPM_FIELD(localDram.tRCns, always);
+    PIPM_FIELD(localDram.tRCDns, always);
+    PIPM_FIELD(localDram.tCLns, always);
+    PIPM_FIELD(localDram.tRPns, always);
+    PIPM_FIELD(localDram.channels, always);
+    PIPM_FIELD(localDram.banksPerChannel, always);
+    PIPM_FIELD(localDram.rowBytes, always);
+    PIPM_FIELD(localDram.bytesPerCycle, always);
+    PIPM_FIELD(localDram.controllerNs, always);
+    PIPM_FIELD(cxlDram.tRCns, always);
+    PIPM_FIELD(cxlDram.tRCDns, always);
+    PIPM_FIELD(cxlDram.tCLns, always);
+    PIPM_FIELD(cxlDram.tRPns, always);
+    PIPM_FIELD(cxlDram.channels, always);
+    PIPM_FIELD(cxlDram.banksPerChannel, always);
+    PIPM_FIELD(cxlDram.rowBytes, always);
+    PIPM_FIELD(cxlDram.bytesPerCycle, always);
+    PIPM_FIELD(cxlDram.controllerNs, always);
+    PIPM_FIELD(link.latencyNs, always);
+    PIPM_FIELD(link.bytesPerNs, always);
+    PIPM_FIELD(link.hasSwitch, always);
+    PIPM_FIELD(link.switchNs, always);
+    PIPM_FIELD(link.switchBytesPerNs, always);
+    PIPM_FIELD(deviceDirectory.sets, always);
+    PIPM_FIELD(deviceDirectory.ways, always);
+    PIPM_FIELD(deviceDirectory.slices, always);
+    PIPM_FIELD(deviceDirectory.roundTrip, always);
+    PIPM_FIELD(localDirectory.sets, always);
+    PIPM_FIELD(localDirectory.ways, always);
+    PIPM_FIELD(localDirectory.roundTrip, always);
+    PIPM_FIELD(pipm.globalCacheBytes, always);
+    PIPM_FIELD(pipm.globalCacheWays, always);
+    PIPM_FIELD(pipm.globalCacheRoundTrip, always);
+    PIPM_FIELD(pipm.localCacheBytes, always);
+    PIPM_FIELD(pipm.localCacheWays, always);
+    PIPM_FIELD(pipm.localCacheRoundTrip, always);
+    PIPM_FIELD(pipm.migrationThreshold, always);
+    PIPM_FIELD(pipm.globalCounterBits, always);
+    PIPM_FIELD(pipm.localCounterBits, always);
+    PIPM_FIELD(pipm.tableLevels, always);
+    PIPM_FIELD(pipm.infiniteLocalCache, always);
+    PIPM_FIELD(pipm.infiniteGlobalCache, always);
+    PIPM_FIELD(osMigration.intervalMs, always);
+    PIPM_FIELD(osMigration.perPageInitiatorUs, always);
+    PIPM_FIELD(osMigration.perPageOtherUs, always);
+    PIPM_FIELD(osMigration.maxPagesPerEpoch, always);
+    PIPM_FIELD(osMigration.hotThreshold, always);
+    PIPM_FIELD(tlb.enabled, always);
+    PIPM_FIELD(tlb.entries, always);
+    PIPM_FIELD(tlb.ways, always);
+    PIPM_FIELD(tlb.hitCycles, always);
+    PIPM_FIELD(tlb.walkCycles, always);
+    PIPM_FIELD(fault.enabled, faults);
+    PIPM_FIELD(fault.seed, faults);
+    PIPM_FIELD(fault.linkErrorRate, faults);
+    PIPM_FIELD(fault.retrainIntervalNs, faults);
+    PIPM_FIELD(fault.retrainWindowNs, faults);
+    PIPM_FIELD(fault.poisonRate, faults);
+    PIPM_FIELD(fault.persistentPoisonFrac, faults);
+    PIPM_FIELD(fault.migrationAbortRate, faults);
+    PIPM_FIELD(fault.crashMeanIntervalNs, crash);
+    PIPM_FIELD(fault.crashRejoinNs, crash);
+    PIPM_FIELD(fault.crashMaxEvents, crash);
+    PIPM_FIELD(fault.crashRecovery, crash);
+    PIPM_FIELD(fault.leaseNs, lease);
+    PIPM_FIELD(fault.heartbeatIntervalNs, lease);
+    PIPM_FIELD(fault.txnTimeoutNs, lease);
+    PIPM_FIELD(fault.txnRetryLimit, lease);
+    PIPM_FIELD(fault.txnBackoffBaseNs, lease);
+    PIPM_FIELD(fault.txnBackoffMaxExp, lease);
+    PIPM_FIELD(fault.readmitDelayNs, lease);
+    PIPM_FIELD(fault.stallMeanIntervalNs, lease);
+    PIPM_FIELD(fault.stallWindowNs, lease);
+    PIPM_FIELD(fault.stallMaxEvents, lease);
+    PIPM_FIELD(fault.metaCorruptMeanIntervalNs, meta);
+    PIPM_FIELD(fault.metaCorruptMaxEvents, meta);
+    PIPM_FIELD(fault.metaShadowHitFrac, meta);
+    PIPM_FIELD(fault.metaJournalPages, meta);
+    PIPM_FIELD(fault.metaScrubIntervalNs, meta);
+    PIPM_FIELD(fault.metaScrubBudget, meta);
+    PIPM_FIELD(fault.metaBreakerThreshold, meta);
+    PIPM_FIELD(fault.metaBreakerWindowNs, meta);
+    PIPM_FIELD(fault.metaBreakerCooldownNs, meta);
+    PIPM_FIELD(fault.metaBreakerMaxExp, meta);
+    PIPM_FIELD(fault.metaBreakerGroupPages, meta);
+    PIPM_FIELD(fault.backoffWindow, faults);
+    PIPM_FIELD(fault.backoffThreshold, faults);
+    PIPM_FIELD(fault.backoffBaseNs, faults);
+    PIPM_FIELD(fault.backoffMaxExp, faults);
+    PIPM_FIELD(trackValues, never);
+    PIPM_FIELD(localBytesPerHostFull, always);
+    PIPM_FIELD(cxlPoolBytesFull, always);
+    PIPM_FIELD(footprintScale, always);
+    PIPM_FIELD(timeScale, always);
+    PIPM_FIELD(l1Scale, always);
+    PIPM_FIELD(llcScale, always);
+    PIPM_FIELD(migrationBytesScale, always);
+#undef PIPM_FIELD
+}
 
 /** The Table 2 default configuration. */
 SystemConfig defaultConfig();

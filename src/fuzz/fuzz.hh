@@ -88,8 +88,9 @@ bool caseValid(const FuzzCase &c, std::string *why = nullptr);
 /** One-line human summary (hosts/cores/workload/scheme/fault domains). */
 std::string describeCase(const FuzzCase &c);
 
-/** Full determinism fingerprint (measurementKey + run fields). */
-std::string caseKey(const FuzzCase &c);
+/** Exact `path=value;` text of every FuzzCase field (the SystemConfig
+ *  field table plus the run fields): equal signatures, equal cases. */
+std::string caseSignature(const FuzzCase &c);
 
 /** `name=value` lines over every stored runResultFields row; differential
  *  oracles compare these and report the first differing field. */

@@ -90,161 +90,24 @@ lit(const std::string &s)
 }
 
 /**
- * Visit every FuzzCase field as (path, value, default-value). The one
- * field walk feeds both the exact-equality signature the minimizer
- * uses and the C++ reconstruction renderCaseCode() emits, so the two
- * can never disagree about which fields exist.
+ * Visit every FuzzCase field as (path, value): the SystemConfig field
+ * table under "cfg.", then the run fields. The minimizer's equality
+ * signature and renderCaseCode() both walk it.
  */
 template <typename F>
 void
-forEachField(const FuzzCase &c, F &&f)
+forEachCaseField(const FuzzCase &c, F &&f)
 {
-    const FuzzCase d;   // default-constructed baseline
-    const SystemConfig &a = c.cfg;
-    const SystemConfig &b = d.cfg;
-#define PIPM_FIELD(path) f("cfg." #path, a.path, b.path)
-    PIPM_FIELD(numHosts);
-    PIPM_FIELD(coresPerHost);
-    PIPM_FIELD(core.width);
-    PIPM_FIELD(core.robEntries);
-    PIPM_FIELD(core.loadQueue);
-    PIPM_FIELD(core.storeQueue);
-    PIPM_FIELD(core.mshrs);
-    PIPM_FIELD(core.mshrLatencyThreshold);
-    PIPM_FIELD(l1.sizeBytes);
-    PIPM_FIELD(l1.ways);
-    PIPM_FIELD(l1.roundTrip);
-    PIPM_FIELD(llcPerCore.sizeBytes);
-    PIPM_FIELD(llcPerCore.ways);
-    PIPM_FIELD(llcPerCore.roundTrip);
-    PIPM_FIELD(localDram.tRCns);
-    PIPM_FIELD(localDram.tRCDns);
-    PIPM_FIELD(localDram.tCLns);
-    PIPM_FIELD(localDram.tRPns);
-    PIPM_FIELD(localDram.channels);
-    PIPM_FIELD(localDram.banksPerChannel);
-    PIPM_FIELD(localDram.rowBytes);
-    PIPM_FIELD(localDram.bytesPerCycle);
-    PIPM_FIELD(localDram.controllerNs);
-    PIPM_FIELD(cxlDram.tRCns);
-    PIPM_FIELD(cxlDram.tRCDns);
-    PIPM_FIELD(cxlDram.tCLns);
-    PIPM_FIELD(cxlDram.tRPns);
-    PIPM_FIELD(cxlDram.channels);
-    PIPM_FIELD(cxlDram.banksPerChannel);
-    PIPM_FIELD(cxlDram.rowBytes);
-    PIPM_FIELD(cxlDram.bytesPerCycle);
-    PIPM_FIELD(cxlDram.controllerNs);
-    PIPM_FIELD(link.latencyNs);
-    PIPM_FIELD(link.bytesPerNs);
-    PIPM_FIELD(link.hasSwitch);
-    PIPM_FIELD(link.switchNs);
-    PIPM_FIELD(link.switchBytesPerNs);
-    PIPM_FIELD(deviceDirectory.sets);
-    PIPM_FIELD(deviceDirectory.ways);
-    PIPM_FIELD(deviceDirectory.slices);
-    PIPM_FIELD(deviceDirectory.roundTrip);
-    PIPM_FIELD(localDirectory.sets);
-    PIPM_FIELD(localDirectory.ways);
-    PIPM_FIELD(localDirectory.roundTrip);
-    PIPM_FIELD(pipm.globalCacheBytes);
-    PIPM_FIELD(pipm.globalCacheWays);
-    PIPM_FIELD(pipm.globalCacheRoundTrip);
-    PIPM_FIELD(pipm.localCacheBytes);
-    PIPM_FIELD(pipm.localCacheWays);
-    PIPM_FIELD(pipm.localCacheRoundTrip);
-    PIPM_FIELD(pipm.migrationThreshold);
-    PIPM_FIELD(pipm.globalCounterBits);
-    PIPM_FIELD(pipm.localCounterBits);
-    PIPM_FIELD(pipm.tableLevels);
-    PIPM_FIELD(pipm.infiniteLocalCache);
-    PIPM_FIELD(pipm.infiniteGlobalCache);
-    PIPM_FIELD(osMigration.intervalMs);
-    PIPM_FIELD(osMigration.perPageInitiatorUs);
-    PIPM_FIELD(osMigration.perPageOtherUs);
-    PIPM_FIELD(osMigration.maxPagesPerEpoch);
-    PIPM_FIELD(osMigration.hotThreshold);
-    PIPM_FIELD(tlb.enabled);
-    PIPM_FIELD(tlb.entries);
-    PIPM_FIELD(tlb.ways);
-    PIPM_FIELD(tlb.hitCycles);
-    PIPM_FIELD(tlb.walkCycles);
-    PIPM_FIELD(fault.enabled);
-    PIPM_FIELD(fault.seed);
-    PIPM_FIELD(fault.linkErrorRate);
-    PIPM_FIELD(fault.retrainIntervalNs);
-    PIPM_FIELD(fault.retrainWindowNs);
-    PIPM_FIELD(fault.poisonRate);
-    PIPM_FIELD(fault.persistentPoisonFrac);
-    PIPM_FIELD(fault.migrationAbortRate);
-    PIPM_FIELD(fault.crashMeanIntervalNs);
-    PIPM_FIELD(fault.crashRejoinNs);
-    PIPM_FIELD(fault.crashMaxEvents);
-    PIPM_FIELD(fault.crashRecovery);
-    PIPM_FIELD(fault.leaseNs);
-    PIPM_FIELD(fault.heartbeatIntervalNs);
-    PIPM_FIELD(fault.txnTimeoutNs);
-    PIPM_FIELD(fault.txnRetryLimit);
-    PIPM_FIELD(fault.txnBackoffBaseNs);
-    PIPM_FIELD(fault.txnBackoffMaxExp);
-    PIPM_FIELD(fault.readmitDelayNs);
-    PIPM_FIELD(fault.stallMeanIntervalNs);
-    PIPM_FIELD(fault.stallWindowNs);
-    PIPM_FIELD(fault.stallMaxEvents);
-    PIPM_FIELD(fault.metaCorruptMeanIntervalNs);
-    PIPM_FIELD(fault.metaCorruptMaxEvents);
-    PIPM_FIELD(fault.metaShadowHitFrac);
-    PIPM_FIELD(fault.metaJournalPages);
-    PIPM_FIELD(fault.metaScrubIntervalNs);
-    PIPM_FIELD(fault.metaScrubBudget);
-    PIPM_FIELD(fault.metaBreakerThreshold);
-    PIPM_FIELD(fault.metaBreakerWindowNs);
-    PIPM_FIELD(fault.metaBreakerCooldownNs);
-    PIPM_FIELD(fault.metaBreakerMaxExp);
-    PIPM_FIELD(fault.metaBreakerGroupPages);
-    PIPM_FIELD(fault.backoffWindow);
-    PIPM_FIELD(fault.backoffThreshold);
-    PIPM_FIELD(fault.backoffBaseNs);
-    PIPM_FIELD(fault.backoffMaxExp);
-    PIPM_FIELD(localBytesPerHostFull);
-    PIPM_FIELD(cxlPoolBytesFull);
-    PIPM_FIELD(footprintScale);
-    PIPM_FIELD(timeScale);
-    PIPM_FIELD(l1Scale);
-    PIPM_FIELD(llcScale);
-    PIPM_FIELD(migrationBytesScale);
-#undef PIPM_FIELD
-    f("scheme", c.scheme, d.scheme);
-    f("workload", c.workload, d.workload);
-    f("runSeed", c.runSeed, d.runSeed);
-    f("warmupRefs", c.warmupRefs, d.warmupRefs);
-    f("measureRefs", c.measureRefs, d.measureRefs);
-    f("hotLinesPerPage", c.hotLinesPerPage, d.hotLinesPerPage);
-    f("seqRunLines", c.seqRunLines, d.seqRunLines);
-}
-
-/** Exact serialization of every field (the minimizer's equality key;
- *  caseKey() is too coarse — it only covers measurement-relevant
- *  fields). */
-std::string
-caseSignature(const FuzzCase &c)
-{
-    std::ostringstream os;
-    forEachField(c, [&os](const char *path, const auto &v, const auto &) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
-                                     CrashRecoveryPolicy>)
-            os << path << '=' << static_cast<unsigned>(v) << ';';
-        else if constexpr (std::is_same_v<std::decay_t<decltype(v)>, Scheme>)
-            os << path << '=' << toString(v) << ';';
-        else if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
-        {
-            os.precision(17);
-            os << path << '=' << v << ';';
-        } else {
-            os << path << '=' << v << ';';
-        }
+    forEachField(c.cfg, [&f](const char *path, const auto &v, KeyGate) {
+        f(std::string("cfg.") + path, v);
     });
-    return os.str();
+    f("scheme", c.scheme);
+    f("workload", c.workload);
+    f("runSeed", c.runSeed);
+    f("warmupRefs", c.warmupRefs);
+    f("measureRefs", c.measureRefs);
+    f("hotLinesPerPage", c.hotLinesPerPage);
+    f("seqRunLines", c.seqRunLines);
 }
 
 /** The shrink transforms, roughly in decreasing expected payoff. Each
@@ -380,6 +243,16 @@ transforms()
 
 } // namespace
 
+std::string
+caseSignature(const FuzzCase &c)
+{
+    std::ostringstream os;
+    forEachCaseField(c, [&os](const std::string &path, const auto &v) {
+        os << path << '=' << lit(v) << ';';
+    });
+    return os.str();
+}
+
 MinimizedCase
 minimizeCase(const FuzzCase &failing, const Oracle &oracle,
              unsigned max_evals)
@@ -423,31 +296,18 @@ renderCaseCode(const FuzzCase &c, const std::string &var)
     std::ostringstream os;
     os << "    pipm::fuzz::FuzzCase " << var << " = "
        << "pipm::fuzz::defaultCase();\n";
-    // defaultCase() starts from testConfig(), not the default-constructed
-    // baseline forEachField() diffs against, so emit every field that
-    // differs from *either* — a few redundant assignments beat a wrong
-    // reconstruction.
-    const FuzzCase base = defaultCase();
-    std::ostringstream body;
-    forEachField(c, [&](const char *path, const auto &v, const auto &) {
-        body << "    " << var << "." << path << " = " << lit(v) << ";\n";
+    // Assign only the fields that differ from defaultCase().
+    std::vector<std::string> base;
+    forEachCaseField(defaultCase(),
+                     [&base](const std::string &, const auto &v) {
+                         base.push_back(lit(v));
+                     });
+    std::size_t i = 0;
+    forEachCaseField(c, [&](const std::string &path, const auto &v) {
+        const std::string value = lit(v);
+        if (value != base[i++])
+            os << "    " << var << "." << path << " = " << value << ";\n";
     });
-    // Emit only lines whose field differs from the defaultCase() value:
-    // render base the same way and drop identical lines.
-    std::ostringstream base_body;
-    forEachField(base,
-                 [&](const char *path, const auto &v, const auto &) {
-                     base_body << "    " << var << "." << path << " = "
-                               << lit(v) << ";\n";
-                 });
-    std::istringstream want(body.str());
-    std::istringstream have(base_body.str());
-    std::string wline;
-    std::string hline;
-    while (std::getline(want, wline) && std::getline(have, hline)) {
-        if (wline != hline)
-            os << wline << '\n';
-    }
     return os.str();
 }
 

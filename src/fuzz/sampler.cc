@@ -666,18 +666,5 @@ describeCase(const FuzzCase &c)
     return os.str();
 }
 
-std::string
-caseKey(const FuzzCase &c)
-{
-    std::ostringstream os;
-    os << c.cfg.measurementKey() << "|scheme=" << toString(c.scheme)
-       << "|wl=" << c.workload << "|seed=" << c.runSeed << "|warmup="
-       << c.warmupRefs << "|measure=" << c.measureRefs;
-    // Appended only when set so pre-existing keys stay stable.
-    if (c.hotLinesPerPage || c.seqRunLines)
-        os << "|lines=" << c.hotLinesPerPage << "/" << c.seqRunLines;
-    return os.str();
-}
-
 } // namespace fuzz
 } // namespace pipm

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -257,6 +258,67 @@ TEST(Logging, PanicIfOnlyFiresWhenTrue)
     ThrowOnErrorGuard guard;
     EXPECT_NO_THROW(panic_if(false, "never"));
     EXPECT_THROW(panic_if(true, "always"), SimError);
+}
+
+/** Give a config field a different value (the key does not validate). */
+template <typename T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        v = !v;
+    else if constexpr (std::is_same_v<T, CrashRecoveryPolicy>)
+        v = v == CrashRecoveryPolicy::stale ? CrashRecoveryPolicy::poison
+                                            : CrashRecoveryPolicy::stale;
+    else
+        v = static_cast<T>(v + 1);
+}
+
+TEST(Config, KeyCoversEveryField)
+{
+    // A field the key drops lets two configs with different results
+    // share one bench-cache row, so every row of the field table whose
+    // domain is on must move the key, and trackValues must not.
+    SystemConfig cfg = testConfig();
+    cfg.fault = paperSuspicionFaultConfig(3);
+    addPaperMetaFaults(cfg.fault);
+    cfg.tlb.enabled = true;
+    cfg.link.hasSwitch = true;
+    const std::string key = cfg.measurementKey();
+    forEachField(cfg, [&](const char *path, auto &v, KeyGate gate) {
+        const auto saved = v;
+        perturb(v);
+        if (gate == KeyGate::never)
+            EXPECT_EQ(cfg.measurementKey(), key) << path;
+        else
+            EXPECT_NE(cfg.measurementKey(), key) << path;
+        v = saved;
+    });
+    EXPECT_EQ(cfg.measurementKey(), key);
+
+    // With faults off, no fault-domain knob may split keys: only the
+    // master switch itself changes the run.
+    SystemConfig off = testConfig();
+    const std::string off_key = off.measurementKey();
+    forEachField(off, [&](const char *path, auto &v, KeyGate gate) {
+        if (gate == KeyGate::always || std::string(path) == "fault.enabled")
+            return;
+        const auto saved = v;
+        perturb(v);
+        EXPECT_EQ(off.measurementKey(), off_key) << path;
+        v = saved;
+    });
+}
+
+TEST(Config, KeyDoublesRoundTrip)
+{
+    // Six significant digits used to merge these two link error rates.
+    SystemConfig a = testConfig();
+    a.fault = paperFaultConfig(1);
+    SystemConfig b = a;
+    a.fault.linkErrorRate = 5e-4;
+    b.fault.linkErrorRate = 5.0000001e-4;
+    EXPECT_NE(a.measurementKey(), b.measurementKey());
 }
 
 TEST(Config, DefaultIsValidAndMatchesTable2)

@@ -60,13 +60,13 @@ TEST(FuzzSampler, SamplingIsDeterministicInTheSeed)
 {
     ThrowOnErrorGuard guard;
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-        EXPECT_EQ(fuzz::caseKey(fuzz::sampleCase(seed)),
-                  fuzz::caseKey(fuzz::sampleCase(seed)))
+        EXPECT_EQ(fuzz::caseSignature(fuzz::sampleCase(seed)),
+                  fuzz::caseSignature(fuzz::sampleCase(seed)))
             << "seed " << seed;
     }
     // ...and different seeds do explore: at least one pair differs.
-    EXPECT_NE(fuzz::caseKey(fuzz::sampleCase(1)),
-              fuzz::caseKey(fuzz::sampleCase(2)));
+    EXPECT_NE(fuzz::caseSignature(fuzz::sampleCase(1)),
+              fuzz::caseSignature(fuzz::sampleCase(2)));
 }
 
 TEST(FuzzSampler, RepairClampsWildCases)
