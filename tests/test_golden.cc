@@ -176,6 +176,14 @@ struct GoldenCase
     const FaultMode *mode;
 };
 
+// Without this, gtest prints the case as its raw bytes, two pointers that
+// differ with every address-space layout, and ctest's test names with them.
+void
+PrintTo(const GoldenCase &gc, std::ostream *os)
+{
+    *os << gc.workload << "/" << gc.mode->name;
+}
+
 class GoldenTest : public ::testing::TestWithParam<GoldenCase>
 {
 };
