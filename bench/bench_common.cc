@@ -259,24 +259,15 @@ applyEnvFaults(SystemConfig &cfg)
     const char *v = std::getenv("PIPM_BENCH_FAULTS");
     if (!v || !*v || std::string(v) == "0")
         return false;
-    // "crash" (or "2") additionally enables the host fail-stop crash and
-    // rejoin schedule; "suspect" (or "3") layers the lease-based failure
-    // detector, gray-failure stall windows and transaction retries on
-    // top of that (DESIGN.md §11); "meta" (or "4") layers the
-    // device-metadata corruption schedule — scrub-and-repair, journal
-    // replay, degraded fallback and the migration circuit breaker — on
-    // the base rates (DESIGN.md §12); any other value keeps the original
-    // fault-only schedule bit-identical to what it produced before
-    // crashes existed.
-    const std::string mode(v);
+    // Any value that names no schedule keeps the original fault-only
+    // schedule, bit-identical to what it produced before crashes existed.
+    const std::string_view mode(v);
     const std::uint64_t fseed = envU64("PIPM_BENCH_SEED", 42);
-    cfg.fault = (mode == "meta" || mode == "4")
-                    ? paperMetaFaultConfig(fseed)
-                : (mode == "suspect" || mode == "3")
-                    ? paperSuspicionFaultConfig(fseed)
-                : (mode == "crash" || mode == "2")
-                    ? paperCrashFaultConfig(fseed)
-                    : paperFaultConfig(fseed);
+    cfg.fault = paperFaultConfig(fseed);
+    for (const FaultSchedule &s : faultSchedules) {
+        if (s.code && (mode == s.name || mode == s.code))
+            cfg.fault = s.make(fseed);
+    }
     return true;
 }
 

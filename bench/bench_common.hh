@@ -30,8 +30,8 @@
  *   PIPM_BENCH_JOBS    worker threads for Sweep::run (default 1)
  *   PIPM_BENCH_FAULTS  any value but empty/"0": enable the paper-default
  *                      fault schedule (harnesses calling applyEnvFaults);
- *                      "crash" or "2" additionally enables the host
- *                      fail-stop crash/rejoin schedule (DESIGN.md §8)
+ *                      a faultSchedules name or code selects that
+ *                      schedule instead (e.g. "crash" or "2")
  *
  * The observability knobs (PIPM_STATS_JSON, PIPM_OBS_INTERVAL,
  * PIPM_OBS_TRACE, PIPM_OBS_WATCH — DESIGN.md §10) are resolved once in
@@ -144,9 +144,44 @@ class Sweep
  */
 std::string cacheHeader();
 
+/** A named paper fault schedule layered on paperFaultConfig. */
+struct FaultSchedule
+{
+    const char *name;
+    /** PIPM_BENCH_FAULTS digit alias; nullptr: a verify_faults domain
+     *  only, which PIPM_BENCH_FAULTS does not select. */
+    const char *code;
+    pipm::FaultConfig (*make)(std::uint64_t seed);
+};
+
+/** The named schedules: PIPM_BENCH_FAULTS modes and verify_faults domains. */
+inline constexpr FaultSchedule faultSchedules[] = {
+    // Host fail-stop crash and cold rejoin (DESIGN.md §8).
+    {"crash", "2",
+     [](std::uint64_t seed) { return pipm::paperCrashFaultConfig(seed); }},
+    // The crash schedule under lease detection, gray-failure stall
+    // windows and transaction retries (DESIGN.md §11).
+    {"suspect", "3",
+     [](std::uint64_t seed) {
+         return pipm::paperSuspicionFaultConfig(seed);
+     }},
+    // Device-metadata corruption: scrub-and-repair, journal replay,
+    // degraded fallback and the migration circuit breaker (§12).
+    {"meta", "4",
+     [](std::uint64_t seed) { return pipm::paperMetaFaultConfig(seed); }},
+    // The chaos soak: metadata corruption over the suspect schedule.
+    {"chaos", nullptr,
+     [](std::uint64_t seed) {
+         pipm::FaultConfig f = pipm::paperSuspicionFaultConfig(seed);
+         pipm::addPaperMetaFaults(f);
+         return f;
+     }},
+};
+
 /**
- * Enable the paper-default fault schedule on `cfg` when the
- * PIPM_BENCH_FAULTS environment variable is set (and not "0").
+ * Enable a fault schedule on `cfg` when the PIPM_BENCH_FAULTS
+ * environment variable is set (and not "0"): the faultSchedules entry
+ * with that name or code, else the paper-default schedule.
  * @return whether faults were enabled
  */
 bool applyEnvFaults(pipm::SystemConfig &cfg);

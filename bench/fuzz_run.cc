@@ -33,6 +33,7 @@
 #include <unistd.h>
 
 #include "bench_common.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "fuzz/fuzz.hh"
 #include "workloads/catalog.hh"
@@ -42,13 +43,6 @@ namespace
 
 using namespace pipm;
 using namespace pipm::fuzz;
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    return v && *v ? std::strtoull(v, nullptr, 10) : fallback;
-}
 
 void
 usage(std::ostream &os)

@@ -33,6 +33,20 @@ enum RunMode : unsigned
 
 } // namespace
 
+void
+addCounterFields(MultiHostSystem &system, RunResult &out)
+{
+    system.forEachStatGroup([&](StatGroup &g, const std::string &prefix) {
+        g.forEachCounter([&](const std::string &stat, const Counter &c) {
+            const std::string column = prefix + g.name() + '.' + stat;
+            for (const RunResultField &f : runResultFields) {
+                if (f.kind == RunResultField::counter && f.sums(column))
+                    out.*f.u64 += c.value();
+            }
+        });
+    });
+}
+
 RunResult
 runExperiment(const SystemConfig &cfg, Scheme scheme,
               const Workload &workload, const RunConfig &run)
@@ -345,16 +359,7 @@ runExperiment(const SystemConfig &cfg, Scheme scheme,
                          static_cast<double>(exec) / cores.size()
                    : 0.0;
 
-    // Counter fields: sum their source columns over every stat group.
-    system.forEachStatGroup([&](StatGroup &g, const std::string &prefix) {
-        g.forEachCounter([&](const std::string &stat, const Counter &c) {
-            const std::string column = prefix + g.name() + '.' + stat;
-            for (const RunResultField &f : runResultFields) {
-                if (f.kind == RunResultField::counter && f.sums(column))
-                    out.*f.u64 += c.value();
-            }
-        });
-    });
+    addCounterFields(system, out);
     if (HarmfulTracker *t = system.harmfulTracker()) {
         out.harmfulMigrations = t->harmfulMigrations();
         out.totalTrackedMigrations = t->totalMigrations();

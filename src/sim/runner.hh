@@ -360,6 +360,15 @@ inline constexpr RunResultField runResultFields[] = {
     detail::derivedField("harmful_fraction", &RunResult::harmfulFraction),
 };
 
+class MultiHostSystem;
+
+/**
+ * Add every counter field's source columns, summed over the stat groups
+ * of `system`, to `out`. runExperiment and the fault-schedule checker
+ * both extract counters this way.
+ */
+void addCounterFields(MultiHostSystem &system, RunResult &out);
+
 /** Run one experiment. */
 RunResult runExperiment(const SystemConfig &cfg, Scheme scheme,
                         const Workload &workload, const RunConfig &run);

@@ -614,8 +614,7 @@ MultiHostSystem::recallEntry(LineAddr line, const DirEntry &entry,
 {
     // A line owned in M by a dead-but-unreclaimed host cannot write
     // back: account the loss before the entry evaporates. Every other
-    // sharer invalidates its copy; dirty data is written back to CXL
-    // memory.
+    // sharer invalidates its copy; dirty data is written back.
     noteDeadOwnedDrop(line, entry);
     Cycles lat = 0;
     for (unsigned s = 0; s < cfg_.numHosts; ++s) {
@@ -626,10 +625,7 @@ MultiHostSystem::recallEntry(LineAddr line, const DirEntry &entry,
                                          now);
         auto ev = hosts_[sh].caches->invalidateLine(line);
         if (ev && ev->dirty) {
-            mem_.write(line, ev->data);
-            hosts_[sh].link->transfer(LinkDir::toDevice, CxlFlits::data,
-                                      now);
-            cxlDram_.access(lineBase(line) - cfg_.cxlBase(), now, true);
+            writeBack(sh, line, ev->data, now);
         } else {
             hosts_[sh].link->transfer(LinkDir::toDevice, CxlFlits::header,
                                       now);
@@ -675,6 +671,35 @@ MultiHostSystem::naiveBitHost(PageFrame page, unsigned li) const
     return bit_host != invalidHost && pipm_->lineMigrated(bit_host, page, li)
                ? bit_host
                : invalidHost;
+}
+
+HostId
+MultiHostSystem::writeHome(LineAddr line, std::uint64_t data, Cycles now)
+{
+    // Naive coherence keeps the bit set, so reads are redirected to the
+    // line's local frame at the bit host; the data must land there. A
+    // dead bit host's frame is gone: the data lands at the home, and
+    // that host's reclaim sweep accounts the line.
+    const PageFrame page = pageOfLine(line);
+    const auto li = static_cast<unsigned>(line & (linesPerPage - 1));
+    const HostId bit_host = naiveBitHost(page, li);
+    if (bit_host != invalidHost && hostAlive_[bit_host]) {
+        writeLocalFrame(bit_host, page, li, data, now);
+        return bit_host;
+    }
+    mem_.write(line, data);
+    cxlDram_.access(lineBase(line) - cfg_.cxlBase(), now, true);
+    return invalidHost;
+}
+
+void
+MultiHostSystem::writeBack(HostId from, LineAddr line, std::uint64_t data,
+                           Cycles now)
+{
+    hosts_[from].link->transfer(LinkDir::toDevice, CxlFlits::data, now);
+    if (const HostId bit_host = writeHome(line, data, now);
+        bit_host != invalidHost && bit_host != from)
+        hosts_[bit_host].link->transfer(LinkDir::toHost, CxlFlits::data, now);
 }
 
 Cycles
@@ -870,16 +895,8 @@ MultiHostSystem::ownerForward(const LineAccess &a, DirEntry &entry,
     } else {
         ohier.setState(a.line, HostState::S);
         ohier.markClean(a.line);
-        // The downgrade writes the latest data back to memory — the
-        // line's local frame when the naive in-memory bit is set, CXL
-        // memory otherwise.
-        const HostId bit_host = naiveBitHost(a.page, a.li);
-        if (bit_host != invalidHost) {
-            writeLocalFrame(bit_host, a.page, a.li, data, a.now);
-        } else {
-            mem_.write(a.line, data);
-            cxlDram_.access(a.pa - cfg_.cxlBase(), a.now, true);
-        }
+        // The downgrade writes the latest data back to memory.
+        writeHome(a.line, data, a.now);
         noteDirState(a.line, DevState::M, DevState::S, a.h, a.now);
         entry.state = DevState::S;
         entry.add(a.h);
@@ -1188,27 +1205,6 @@ MultiHostSystem::handleEviction(HostId h,
         return;
     }
 
-    const HostId naive_owner = naiveBitHost(page, li);
-    if (ev.state == HostState::M && naive_owner != invalidHost) {
-        // Naive coherence: the in-memory bit stays set, so the writeback
-        // is redirected to the line's local frame at the page's owner
-        // (possibly across the fabric).
-        if (ev.dirty) {
-            hosts_[h].link->transfer(LinkDir::toDevice, CxlFlits::data,
-                                     now);
-            if (naive_owner != h) {
-                hosts_[naive_owner].link->transfer(LinkDir::toHost,
-                                                   CxlFlits::data, now);
-            }
-            writeLocalFrame(naive_owner, page, li, ev.data, now);
-        } else {
-            hosts_[h].link->transfer(LinkDir::toDevice, CxlFlits::header,
-                                     now);
-        }
-        releaseSharer(ev.line, h);
-        return;
-    }
-
     if (pipm_ && ev.state == HostState::M &&
         pipm_->migratedHostOf(page) == h &&
         !pipm_->lineMigrated(h, page, li) &&
@@ -1245,15 +1241,14 @@ MultiHostSystem::handleEviction(HostId h,
         }
     }
 
-    // Normal eviction: dirty data (M) goes back to CXL memory; clean
-    // lines just notify the directory. An aborted case-1 line migration
-    // also lands here: the bit-flip never happened, so the safe
-    // completion is the ordinary writeback to CXL memory — neither copy
-    // is lost and no bit is left half-set.
+    // Normal eviction: dirty data (M) is written back (under naive
+    // coherence to the bit host's local frame); clean lines just notify
+    // the directory. An aborted case-1 line migration also lands here:
+    // the bit-flip never happened, so the safe completion is the
+    // ordinary writeback to CXL memory — neither copy is lost and no bit
+    // is left half-set.
     if (ev.state == HostState::M && ev.dirty) {
-        mem_.write(ev.line, ev.data);
-        hosts_[h].link->transfer(LinkDir::toDevice, CxlFlits::data, now);
-        cxlDram_.access(pa - cfg_.cxlBase(), now, true);
+        writeBack(h, ev.line, ev.data, now);
     } else {
         hosts_[h].link->transfer(LinkDir::toDevice, CxlFlits::header, now);
     }

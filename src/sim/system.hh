@@ -401,6 +401,16 @@ class MultiHostSystem
      *  naive coherence (invalidHost otherwise, or when the bit is off). */
     HostId naiveBitHost(PageFrame page, unsigned li) const;
 
+    /** Land dirty data in the line's memory copy: a live naive bit
+     *  host's local frame (returned) or CXL memory (invalidHost). */
+    HostId writeHome(LineAddr line, std::uint64_t data, Cycles now);
+
+    /** A dirty copy leaves `from`'s cache: it crosses from's link to
+     *  the device, which lands it with writeHome, forwarding it over the
+     *  bit host's link when that is another host. */
+    void writeBack(HostId from, LineAddr line, std::uint64_t data,
+                   Cycles now);
+
     /** Invalidate every sharer but h; returns the slowest round trip. */
     Cycles invalidateSharers(const DirEntry &entry, LineAddr line, HostId h,
                              Cycles now);

@@ -48,9 +48,10 @@ class DirectWorkload : public Workload
 FaultCheckResult
 checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
                     unsigned schedules,
-                    std::uint64_t accesses_per_schedule, std::uint64_t seed,
-                    FaultCheckOptions opt)
+                    std::uint64_t accesses_per_schedule, std::uint64_t seed)
 {
+    fatal_if(!cfg.fault.enabled,
+             "checkFaultSchedules needs a fault-enabled configuration");
     FaultCheckResult res;
     res.schedules = schedules;
 
@@ -61,12 +62,7 @@ checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
     for (unsigned sched = 0; sched < schedules && res.violation.empty();
          ++sched) {
         SystemConfig fcfg = cfg;
-        const std::uint64_t fseed = seed + 977 * (sched + 1);
-        fcfg.fault = opt.withSuspicion ? paperSuspicionFaultConfig(fseed)
-                     : opt.withCrashes ? paperCrashFaultConfig(fseed)
-                                       : paperFaultConfig(fseed);
-        if (opt.withMetaCorruption)
-            addPaperMetaFaults(fcfg.fault);
+        fcfg.fault.seed = seed + 977 * (sched + 1);
         // The last-writer oracle below reads values back.
         fcfg.trackValues = true;
         DirectWorkload workload(shared_pages * pageBytes, 4 * pageBytes);
@@ -170,28 +166,7 @@ checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
                 system.checkInvariants();
 
             res.accesses += accesses_per_schedule;
-            if (FaultInjector *f = system.faultInjector()) {
-                res.faultsInjected +=
-                    f->linkErrors.value() + f->retrainEvents.value() +
-                    f->poisonTransient.value() +
-                    f->poisonPersistent.value() +
-                    f->promotionAborts.value() + f->lineAborts.value() +
-                    f->hostCrashes.value() + f->hostRejoins.value();
-                res.crashes += f->hostCrashes.value();
-                res.rejoins += f->hostRejoins.value();
-                res.linesLost += f->crashDirtyLinesLost.value();
-                res.suspicions += f->suspicions.value();
-                res.falseSuspicions += f->falseSuspicions.value();
-                res.fencedRequests += f->fencedRequests.value();
-                res.txnTimeouts += f->txnTimeouts.value();
-                res.txnRetries += f->txnRetries.value();
-                res.metaCorruptions += f->metaCorruptions.value();
-                res.scrubRepairs += f->metaScrubRepairs.value();
-                res.scrubUnrepairable += f->metaUnrepairable.value();
-                res.journalReplays += f->metaJournalReplays.value();
-                res.breakerTrips += f->metaBreakerTrips.value();
-                res.breakerHalfOpens += f->metaBreakerHalfOpens.value();
-            }
+            addCounterFields(system, res.totals);
         } catch (const SimError &e) {
             res.violation = detail::concat("schedule ", sched,
                                            " panicked: ", e.message);

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "common/config.hh"
+#include "sim/runner.hh"
 #include "sim/scheme.hh"
 
 namespace pipm
@@ -29,87 +30,33 @@ namespace pipm
 struct FaultCheckResult
 {
     bool ok = false;
-    unsigned schedules = 0;           ///< fault schedules explored
-    std::uint64_t accesses = 0;       ///< total accesses driven
-    std::uint64_t faultsInjected = 0; ///< faults observed across schedules
-    std::uint64_t crashes = 0;        ///< host fail-stop events processed
-    std::uint64_t rejoins = 0;        ///< host cold rejoins processed
-    std::uint64_t linesLost = 0;      ///< dirty lines lost across crashes
-    // Lease-detection mode (DESIGN.md §11) only:
-    std::uint64_t suspicions = 0;      ///< leases expired
-    std::uint64_t falseSuspicions = 0; ///< alive hosts fenced
-    std::uint64_t fencedRequests = 0;  ///< zombie requests NACKed
-    std::uint64_t txnTimeouts = 0;     ///< transaction attempts timed out
-    std::uint64_t txnRetries = 0;      ///< retries after a timeout
-    // Device-metadata corruption mode (DESIGN.md §12) only:
-    std::uint64_t metaCorruptions = 0;   ///< metadata entries corrupted
-    std::uint64_t scrubRepairs = 0;      ///< entries rebuilt in place
-    std::uint64_t scrubUnrepairable = 0; ///< degraded / force-reclaimed
-    std::uint64_t journalReplays = 0;    ///< remap entries replayed
-    std::uint64_t breakerTrips = 0;      ///< migration breakers opened
-    std::uint64_t breakerHalfOpens = 0;  ///< breakers half-opened
-    std::string violation;            ///< empty when ok
-};
-
-/** What failure machinery the checker layers onto the base fault rates. */
-struct FaultCheckOptions
-{
-    /**
-     * Enable the host fail-stop crash/rejoin schedule
-     * (paperCrashFaultConfig). Accesses are only issued by currently-
-     * alive hosts, and a read must return either the last-writer oracle
-     * value or a stale value for a line the system explicitly reported
-     * lost (MultiHostSystem::lostLines()).
-     */
-    bool withCrashes = false;
-    /**
-     * Enable the lease-based failure detector plus gray-failure stall
-     * windows on top of the crash schedule (paperSuspicionFaultConfig).
-     * Crashed hosts are reclaimed only when suspected; stalled hosts may
-     * be falsely suspected and fenced, losing dirty lines like a real
-     * crash. Implies crash handling.
-     */
-    bool withSuspicion = false;
-    /**
-     * Layer the device-metadata corruption schedule on top
-     * (addPaperMetaFaults): directory entries and PIPM remap entries are
-     * quarantined, scrubbed-and-repaired, journal-replayed or degraded,
-     * and the per-page-group migration circuit breaker sheds migration
-     * under sustained repair activity (DESIGN.md §12). Composes with
-     * either of the above; lines the unrepairable fallback reports lost
-     * are accepted stale exactly like crash losses.
-     */
-    bool withMetaCorruption = false;
+    unsigned schedules = 0;       ///< fault schedules explored
+    std::uint64_t accesses = 0;   ///< total accesses driven
+    /** Every counter field, summed over the schedules that completed. */
+    RunResult totals;
+    std::string violation;        ///< empty when ok
 };
 
 /**
  * Drive `schedules` independently-seeded fault schedules of
- * `accesses_per_schedule` random accesses each against a fault-enabled
- * copy of `cfg` and check data and invariants throughout.
+ * `accesses_per_schedule` random accesses each against `cfg` and check
+ * data and invariants throughout.
  *
- * @param cfg base configuration; fault injection is forced on with the
- *        paper-default fault rates, reseeded per schedule
+ * Whatever failure machinery `cfg.fault` enables is exercised: with a
+ * crash schedule only alive hosts issue accesses, and a read must return
+ * either the last-writer oracle value or a stale value for a line the
+ * system explicitly reported lost (MultiHostSystem::lostLines()) — to a
+ * crash, a fence or the metadata domain's degraded fallback.
+ *
+ * @param cfg configuration; `cfg.fault` (which must be enabled) is the
+ *        schedule template, reseeded per schedule
  * @param scheme memory-management scheme under test
  * @param seed determinism seed for the access pattern and the schedules
- * @param opt which failure machinery to enable (see FaultCheckOptions)
  */
 FaultCheckResult checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
                                      unsigned schedules,
                                      std::uint64_t accesses_per_schedule,
-                                     std::uint64_t seed,
-                                     FaultCheckOptions opt);
-
-/** Back-compat overload: `with_crashes` maps to FaultCheckOptions. */
-inline FaultCheckResult
-checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
-                    unsigned schedules,
-                    std::uint64_t accesses_per_schedule,
-                    std::uint64_t seed = 1, bool with_crashes = false)
-{
-    return checkFaultSchedules(cfg, scheme, schedules,
-                               accesses_per_schedule, seed,
-                               FaultCheckOptions{with_crashes, false});
-}
+                                     std::uint64_t seed = 1);
 
 } // namespace pipm
 

@@ -704,12 +704,13 @@ TEST(CrashAcceptance, FourHostScheduleCleanAgainstOracle)
 {
     SystemConfig cfg = testConfig();
     cfg.numHosts = 4;
+    cfg.fault = paperCrashFaultConfig();
 
-    const FaultCheckResult res = checkFaultSchedules(
-        cfg, Scheme::pipmFull, 2, 20'000, 1, /*with_crashes=*/true);
+    const FaultCheckResult res =
+        checkFaultSchedules(cfg, Scheme::pipmFull, 2, 20'000);
     EXPECT_TRUE(res.ok) << res.violation;
-    EXPECT_GE(res.crashes, 2u);
-    EXPECT_GE(res.rejoins, 1u);
+    EXPECT_GE(res.totals.hostCrashes, 2u);
+    EXPECT_GE(res.totals.hostRejoins, 1u);
 }
 
 TEST(CrashAcceptance, EnvKnobRunsPeriodicInvariantChecks)

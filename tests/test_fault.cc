@@ -518,15 +518,26 @@ TEST(FaultCombined, PoisonSuspectedHostAndRetrainWindowCoexist)
 
 TEST(FaultSchedules, RandomisedCheckingFindsNoViolations)
 {
+    SystemConfig cfg = testConfig();
+    cfg.fault = paperFaultConfig();
     const FaultCheckResult pipm_res =
-        checkFaultSchedules(testConfig(), Scheme::pipmFull, 2, 5'000, 2);
+        checkFaultSchedules(cfg, Scheme::pipmFull, 2, 5'000, 2);
     EXPECT_TRUE(pipm_res.ok) << pipm_res.violation;
     EXPECT_EQ(pipm_res.accesses, 10'000u);
-    EXPECT_GT(pipm_res.faultsInjected, 0u);
+    EXPECT_GT(pipm_res.totals.linkCrcErrors, 0u);
 
     const FaultCheckResult hw_res =
-        checkFaultSchedules(testConfig(), Scheme::hwStatic, 1, 5'000, 3);
+        checkFaultSchedules(cfg, Scheme::hwStatic, 1, 5'000, 3);
     EXPECT_TRUE(hw_res.ok) << hw_res.violation;
+}
+
+TEST(FaultSchedules, CheckerRejectsAFaultFreeConfig)
+{
+    // The schedule is cfg.fault; checking a config without one would
+    // exercise no failure machinery and report it SAFE.
+    ThrowOnErrorGuard guard;
+    EXPECT_THROW(checkFaultSchedules(testConfig(), Scheme::pipmFull, 1, 10),
+                 SimError);
 }
 
 TEST(FaultSchedules, PaperDefaultsProduceAllFaultClasses)

@@ -20,6 +20,7 @@
 #include "coherence/device_directory.hh"
 #include "common/logging.hh"
 #include "fault/fault_injector.hh"
+#include "fuzz/fuzz.hh"
 #include "os/address_space.hh"
 #include "pipm/pipm_state.hh"
 #include "sim/runner.hh"
@@ -376,51 +377,44 @@ TEST(MetaSchedules, RandomisedCheckingExercisesAllResolutionPaths)
 {
     SystemConfig cfg = testConfig();
     cfg.numHosts = 4;
-    FaultCheckOptions opt;
-    opt.withMetaCorruption = true;
+    cfg.fault = paperMetaFaultConfig();
     const FaultCheckResult r =
-        checkFaultSchedules(cfg, Scheme::pipmFull, 2, 8'000, 1, opt);
+        checkFaultSchedules(cfg, Scheme::pipmFull, 2, 8'000);
     EXPECT_TRUE(r.ok) << r.violation;
-    EXPECT_GT(r.metaCorruptions, 0u);
-    EXPECT_GT(r.scrubRepairs, 0u);        // probe-and-rebuild happened
-    EXPECT_GT(r.scrubUnrepairable, 0u);   // degraded fallback happened
-    EXPECT_GT(r.breakerTrips, 0u);        // migration was shed
-    EXPECT_GT(r.breakerHalfOpens, 0u);    // ... and recovered
+    const RunResult &t = r.totals;
+    EXPECT_GT(t.metaCorruptions, 0u);
+    EXPECT_GT(t.metaScrubRepairs, 0u);     // probe-and-rebuild happened
+    EXPECT_GT(t.metaUnrepairable, 0u);     // degraded fallback happened
+    EXPECT_GT(t.metaBreakerTrips, 0u);     // migration was shed
+    EXPECT_GT(t.metaBreakerHalfOpens, 0u); // ... and recovered
 }
 
 TEST(MetaSchedules, ComposesWithCrashAndSuspicionSchedules)
 {
     SystemConfig cfg = testConfig();
     cfg.numHosts = 4;
-    FaultCheckOptions opt;
-    opt.withCrashes = true;
-    opt.withSuspicion = true;
-    opt.withMetaCorruption = true;
+    cfg.fault = paperSuspicionFaultConfig();
+    addPaperMetaFaults(cfg.fault);
     const FaultCheckResult r =
-        checkFaultSchedules(cfg, Scheme::pipmFull, 2, 6'000, 1, opt);
+        checkFaultSchedules(cfg, Scheme::pipmFull, 2, 6'000);
     EXPECT_TRUE(r.ok) << r.violation;
-    EXPECT_GT(r.crashes, 0u);
-    EXPECT_GT(r.metaCorruptions, 0u);
+    EXPECT_GT(r.totals.hostCrashes, 0u);
+    EXPECT_GT(r.totals.metaCorruptions, 0u);
 }
 
 TEST(MetaSchedules, SameSeedCheckerCountsAreDeterministic)
 {
     SystemConfig cfg = testConfig();
     cfg.numHosts = 4;
-    FaultCheckOptions opt;
-    opt.withMetaCorruption = true;
+    cfg.fault = paperMetaFaultConfig();
     const FaultCheckResult a =
-        checkFaultSchedules(cfg, Scheme::pipmFull, 1, 5'000, 7, opt);
+        checkFaultSchedules(cfg, Scheme::pipmFull, 1, 5'000, 7);
     const FaultCheckResult b =
-        checkFaultSchedules(cfg, Scheme::pipmFull, 1, 5'000, 7, opt);
+        checkFaultSchedules(cfg, Scheme::pipmFull, 1, 5'000, 7);
     EXPECT_TRUE(a.ok) << a.violation;
-    EXPECT_EQ(a.metaCorruptions, b.metaCorruptions);
-    EXPECT_EQ(a.scrubRepairs, b.scrubRepairs);
-    EXPECT_EQ(a.scrubUnrepairable, b.scrubUnrepairable);
-    EXPECT_EQ(a.journalReplays, b.journalReplays);
-    EXPECT_EQ(a.breakerTrips, b.breakerTrips);
-    EXPECT_EQ(a.breakerHalfOpens, b.breakerHalfOpens);
-    EXPECT_EQ(a.linesLost, b.linesLost);
+    EXPECT_GT(a.totals.metaCorruptions, 0u);
+    EXPECT_EQ(fuzz::fingerprintResult(a.totals),
+              fuzz::fingerprintResult(b.totals));
 }
 
 TEST(MetaOff, MeasurementKeyAndStatsJsonAreUntouched)

@@ -496,11 +496,12 @@ TEST(SuspicionAcceptance, FourHostScheduleCleanAgainstOracle)
     SystemConfig cfg = testConfig();
     cfg.numHosts = 4;
 
-    const FaultCheckResult res = checkFaultSchedules(
-        cfg, Scheme::pipmFull, 2, 5'000, 1,
-        FaultCheckOptions{/*withCrashes=*/true, /*withSuspicion=*/true});
+    cfg.fault = paperSuspicionFaultConfig();
+
+    const FaultCheckResult res =
+        checkFaultSchedules(cfg, Scheme::pipmFull, 2, 5'000);
     EXPECT_TRUE(res.ok) << res.violation;
-    EXPECT_GE(res.suspicions, 1u);
+    EXPECT_GE(res.totals.suspicions, 1u);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <map>
 
+#include "cache/set_assoc.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sim/system.hh"
@@ -473,6 +474,76 @@ TEST(SystemNaive, UnrepairableEntryOfMigratedLineServesHomeDegraded)
     EXPECT_FALSE(sys.pipmState()->lineMigrated(0, page, li));
     EXPECT_EQ(sys.hierarchy(0).stateOf(line), HostState::I);
     EXPECT_EQ(sys.faultInjector()->degradedAccesses.value(), 1u);
+    sys.checkInvariants();
+}
+
+TEST(SystemNaive, RecalledDirtyLineLandsInTheBitHostsFrame)
+{
+    // pipm-naive: host 0 owns a partially migrated page, and host 1
+    // takes one of its migrated lines dirty in M through the naive
+    // redirect. When a directory-set conflict recalls host 1's entry,
+    // the writeback must land where the still-set bit sends reads —
+    // host 0's local frame — exactly as an LLC eviction's does.
+    SystemConfig cfg = valueConfig();
+    cfg.numHosts = 4;
+    constexpr std::uint64_t pages = 2048;
+    TinyWorkload wl(pages * pageBytes, 8 * pageBytes);
+    MultiHostSystem sys(cfg, Scheme::pipmNaive, wl, 7);
+
+    Cycles now = 0;
+    for (unsigned i = 0; i < cfg.pipm.migrationThreshold; ++i) {
+        sys.access(0, 0, sharedRef(2, i, MemOp::write), now, i);
+        now += 5'000;
+    }
+    for (std::uint64_t p = 20; p < 64; ++p) {
+        for (unsigned l = 0; l < linesPerPage; l += 2) {
+            sys.access(0, 0, sharedRef(p, l, MemOp::read), now);
+            now += 500;
+        }
+    }
+    const PageFrame page = pageOf(pageBase(sys.space().sharedFrame(2)));
+    unsigned li = linesPerPage;
+    for (unsigned l = 0; l < linesPerPage && li == linesPerPage; ++l) {
+        if (sys.pipmState()->lineMigrated(0, page, l))
+            li = l;
+    }
+    ASSERT_LT(li, linesPerPage);
+    sys.access(1, 0, sharedRef(2, li, MemOp::write), now, 99);
+    const LineAddr line =
+        lineOf(pageBase(sys.space().sharedFrame(2)) + li * lineBytes);
+    ASSERT_NE(sys.deviceDirectory().probe(line), nullptr);
+
+    // Fill the line's directory set from hosts 2 and 3. A one-way
+    // SetAssoc of the directory's set count tells which lines share the
+    // set: inserting one evicts `line`.
+    SetAssoc<char> set_of(
+        cfg.deviceDirectory.sets * cfg.deviceDirectory.slices, 1);
+    set_of.insert(line, 0);
+    unsigned reads = 0;
+    for (std::uint64_t p = 64;
+         p < pages && sys.deviceDirectory().probe(line); ++p) {
+        for (unsigned l = 0; l < linesPerPage; ++l) {
+            const LineAddr other =
+                lineOf(pageBase(sys.space().sharedFrame(p)) + l * lineBytes);
+            const auto victim = set_of.insert(other, 0);
+            set_of.invalidate(other);
+            if (!victim)
+                continue;
+            set_of.insert(line, 0);
+            now += 500;
+            // At most one LLC set's worth per host, so no host evicts
+            // (and releases) its own entries before the set is full.
+            sys.access(static_cast<HostId>(2 + reads++ % 2), 0,
+                       sharedRef(p, l, MemOp::read), now);
+        }
+    }
+    ASSERT_EQ(sys.deviceDirectory().probe(line), nullptr);
+    EXPECT_EQ(sys.hierarchy(1).stateOf(line), HostState::I);
+    EXPECT_TRUE(sys.pipmState()->lineMigrated(0, page, li));
+
+    EXPECT_EQ(sys.access(0, 0, sharedRef(2, li, MemOp::read), now + 10'000)
+                  .data,
+              99u);
     sys.checkInvariants();
 }
 
