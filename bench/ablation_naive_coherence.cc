@@ -38,21 +38,19 @@ main(int argc, char **argv)
         sweep.add(cfg, Scheme::pipmNaive, *workload);
         sweep.add(cfg, Scheme::pipmFull, *workload);
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One (native, naive, pipm) triple per workload, in add() order.
     std::vector<double> naive_col, pipm_col;
-    for (const auto &workload : workloads) {
-        const RunResult native =
-            cachedRun(cfg, Scheme::native, *workload, opts);
-        const RunResult naive =
-            cachedRun(cfg, Scheme::pipmNaive, *workload, opts);
-        const RunResult pipm =
-            cachedRun(cfg, Scheme::pipmFull, *workload, opts);
+    for (std::size_t b = 0; b < results.size(); b += 3) {
+        const RunResult &native = results[b];
+        const RunResult &naive = results[b + 1];
+        const RunResult &pipm = results[b + 2];
         const double s_naive = speedupOver(native, naive);
         const double s_pipm = speedupOver(native, pipm);
         naive_col.push_back(s_naive);
         pipm_col.push_back(s_pipm);
-        table.row({workload->name(),
+        table.row({native.workload,
                    TablePrinter::num(s_naive, 2) + "x",
                    TablePrinter::num(s_pipm, 2) + "x",
                    TablePrinter::pct(s_pipm / s_naive - 1.0)});

@@ -22,9 +22,7 @@ main(int argc, char **argv)
     using namespace pipm;
     using namespace pipmbench;
 
-    Options opts = optionsFromEnv();
-    // Scale the run length down for the 8-host runs to keep the total
-    // simulated work comparable.
+    const Options opts = optionsFromEnv();
     const unsigned host_counts[] = {2, 4, 8};
     const char *names[] = {"pr", "tc", "tpcc"};
 
@@ -48,19 +46,16 @@ main(int argc, char **argv)
             sweep.add(cfg, Scheme::pipmFull, w);
         }
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One (native, memtis, pipm) triple per row, in add() order.
+    std::size_t b = 0;
     for (const char *name : names) {
         for (unsigned hosts : host_counts) {
-            SystemConfig cfg = defaultConfig();
-            cfg.numHosts = hosts;
-            auto workload = workloadByName(name, cfg.footprintScale);
-            const RunResult native =
-                cachedRun(cfg, Scheme::native, *workload, opts);
-            const RunResult memtis =
-                cachedRun(cfg, Scheme::memtis, *workload, opts);
-            const RunResult pipm =
-                cachedRun(cfg, Scheme::pipmFull, *workload, opts);
+            const RunResult &native = results[b];
+            const RunResult &memtis = results[b + 1];
+            const RunResult &pipm = results[b + 2];
+            b += 3;
             table.row({name, std::to_string(hosts),
                        TablePrinter::num(speedupOver(native, memtis), 2) +
                            "x",

@@ -47,20 +47,16 @@ main(int argc, char **argv)
             sweep.add(cfg, Scheme::pipmFull, w);
         }
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One block per workload: native, then thresholds in order.
     std::vector<std::vector<double>> cols(std::size(thresholds));
-    for (const char *name : names) {
-        auto workload = workloadByName(name, base_cfg.footprintScale);
-        const RunResult native =
-            cachedRun(base_cfg, Scheme::native, *workload, opts);
-        std::vector<std::string> row = {name};
+    for (std::size_t b = 0; b < results.size();
+         b += 1 + std::size(thresholds)) {
+        const RunResult &native = results[b];
+        std::vector<std::string> row = {native.workload};
         for (std::size_t i = 0; i < std::size(thresholds); ++i) {
-            SystemConfig cfg = base_cfg;
-            cfg.pipm.migrationThreshold = thresholds[i];
-            const RunResult r =
-                cachedRun(cfg, Scheme::pipmFull, *workload, opts);
-            const double s = speedupOver(native, r);
+            const double s = speedupOver(native, results[b + 1 + i]);
             cols[i].push_back(s);
             row.push_back(TablePrinter::num(s, 2) + "x");
         }

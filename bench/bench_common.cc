@@ -170,6 +170,18 @@ mergeCache(const std::string &path,
     }
 }
 
+/** The PIPM_BENCH_FAULTS values that enable a schedule, for messages. */
+std::string
+faultModeList()
+{
+    std::string list = "1 (paper default)";
+    for (const FaultSchedule &s : faultSchedules) {
+        if (s.code)
+            list += std::string(", ") + s.name + "|" + s.code;
+    }
+    return list;
+}
+
 } // namespace
 
 std::string
@@ -224,9 +236,9 @@ handleHarnessArgs(int argc, char **argv, const char *name,
               "  PIPM_BENCH_CACHE   cache file path "
               "(default ./pipm_bench_cache.tsv)\n"
               "  PIPM_BENCH_JOBS    sweep worker threads (default 1)\n"
-              "  PIPM_BENCH_FAULTS  enable the paper-default fault "
-              "schedule\n"
-              "  PIPM_STATS_JSON, PIPM_OBS_INTERVAL, PIPM_OBS_TRACE,\n"
+              "  PIPM_BENCH_FAULTS  fault schedule: "
+           << faultModeList() << "\n"
+           << "  PIPM_STATS_JSON, PIPM_OBS_INTERVAL, PIPM_OBS_TRACE,\n"
               "  PIPM_OBS_WATCH     observability exports "
               "(DESIGN.md §10)\n";
         std::exit(help ? 0 : 2);
@@ -254,95 +266,64 @@ runConfigOf(const Options &opts)
 }
 
 bool
-applyEnvFaults(SystemConfig &cfg)
+applyEnvFaults(SystemConfig &cfg, std::uint64_t seed)
 {
-    const char *v = std::getenv("PIPM_BENCH_FAULTS");
-    if (!v || !*v || std::string(v) == "0")
+    const std::string mode = envStr("PIPM_BENCH_FAULTS", "0");
+    if (mode == "0")
         return false;
-    // Any value that names no schedule keeps the original fault-only
-    // schedule, bit-identical to what it produced before crashes existed.
-    const std::string_view mode(v);
-    const std::uint64_t fseed = envU64("PIPM_BENCH_SEED", 42);
-    cfg.fault = paperFaultConfig(fseed);
-    for (const FaultSchedule &s : faultSchedules) {
-        if (s.code && (mode == s.name || mode == s.code))
-            cfg.fault = s.make(fseed);
+    if (mode == "1") {
+        cfg.fault = paperFaultConfig(seed);
+        return true;
     }
-    return true;
+    for (const FaultSchedule &s : faultSchedules) {
+        if (s.code && (mode == s.name || mode == s.code)) {
+            cfg.fault = s.make(seed);
+            return true;
+        }
+    }
+    std::fprintf(stderr,
+                 "PIPM_BENCH_FAULTS='%s' names no fault schedule; "
+                 "accepted: 0 or unset (off), %s\n",
+                 mode.c_str(), faultModeList().c_str());
+    std::exit(2);
 }
 
-RunResult
-cachedRun(const SystemConfig &cfg, Scheme scheme, const Workload &workload,
-          const Options &opts)
-{
-    cfg.validate();
-    const std::string key = experimentKey(cfg, scheme, workload, opts);
-
-    RunResult r;
-    r.workload = workload.name();
-    r.scheme = scheme;
-    const auto rows = loadCache(opts.cachePath, false);
-    if (const auto it = rows.find(key);
-        it != rows.end() && deserialize(it->second, r))
-        return r;
-
-    std::fprintf(stderr, "[bench] running %s/%s...\n",
-                 workload.name().c_str(),
-                 std::string(toString(scheme)).c_str());
-    RunConfig run_cfg = runConfigOf(opts);
-    // No stats.json from cached experiments: a cache hit would not
-    // re-run the simulation, so the file would ambiguously reflect
-    // whichever combination happened to miss last.
-    run_cfg.statsJsonPath.clear();
-    const std::string row =
-        serialize(runExperiment(cfg, scheme, workload, run_cfg));
-    mergeCache(opts.cachePath, {{key, row}});
-    // Return what a later hit will read, so a harness prints the same
-    // numbers whether or not the cache was warm.
-    deserialize(row, r);
-    return r;
-}
-
-void
+std::size_t
 Sweep::add(const SystemConfig &cfg, Scheme scheme, const Workload &workload)
 {
     cfg.validate();
     items_.push_back(Item{cfg, scheme, &workload,
                           experimentKey(cfg, scheme, workload, opts_)});
+    return items_.size() - 1;
 }
 
-std::size_t
+std::vector<RunResult>
 Sweep::run()
 {
-    // Drop experiments the cache already holds, and key-duplicates
-    // (the same combination enqueued by nested harness loops).
+    // Simulate each key the cache lacks once, in first-add() order
+    // (nested harness loops may enqueue the same combination twice).
     const std::map<std::string, std::string> cached =
         loadCache(opts_.cachePath, false);
+    std::map<std::string, std::string> fresh;   // key -> simulated row
     std::vector<const Item *> todo;
     for (const Item &item : items_) {
-        if (cached.count(item.key))
-            continue;
-        bool dup = false;
-        for (const Item *t : todo)
-            dup = dup || t->key == item.key;
-        if (!dup)
+        if (!cached.count(item.key) && fresh.emplace(item.key, "").second)
             todo.push_back(&item);
     }
-    if (todo.empty())
-        return 0;
 
-    // Run the misses on the pool. Results land in an index-addressed
+    // Run the misses on the pool. Rows land in an index-addressed
     // vector, so the merged rows are independent of completion order;
     // each experiment is a self-contained seeded simulation, so the
     // row *values* are independent of the job count too.
-    std::vector<std::string> results(todo.size());
+    std::vector<std::string> rows(todo.size());
     std::atomic<std::size_t> next{0};
     const unsigned jobs = std::max(
         1u, std::min(opts_.jobs,
                      static_cast<unsigned>(todo.size())));
     RunConfig run_cfg = runConfigOf(opts_);
-    // Parallel workers share this one config; a stats.json path here
-    // would have every worker overwrite the same file.
+    // No stats.json from cached experiments: a later hit would not
+    // re-run the simulation, and parallel workers sharing this config
+    // would all overwrite the same file.
     run_cfg.statsJsonPath.clear();
     auto worker = [&] {
         for (;;) {
@@ -353,7 +334,7 @@ Sweep::run()
             std::fprintf(stderr, "[bench] running %s/%s...\n",
                          item.workload->name().c_str(),
                          std::string(toString(item.scheme)).c_str());
-            results[i] = serialize(runExperiment(
+            rows[i] = serialize(runExperiment(
                 item.cfg, item.scheme, *item.workload, run_cfg));
         }
     };
@@ -369,11 +350,24 @@ Sweep::run()
     }
 
     // Single-writer merge of all new rows in one atomic replace.
-    std::map<std::string, std::string> fresh;
-    for (std::size_t i = 0; i < todo.size(); ++i)
-        fresh[todo[i]->key] = results[i];
-    mergeCache(opts_.cachePath, fresh);
-    return todo.size();
+    if (!todo.empty()) {
+        for (std::size_t i = 0; i < todo.size(); ++i)
+            fresh[todo[i]->key] = rows[i];
+        mergeCache(opts_.cachePath, fresh);
+    }
+
+    // Every result is read back from its row, so a harness prints the
+    // same digits whether or not the cache was warm.
+    std::vector<RunResult> results(items_.size());
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+        const Item &item = items_[i];
+        const auto hit = cached.find(item.key);
+        results[i].workload = item.workload->name();
+        results[i].scheme = item.scheme;
+        deserialize(hit != cached.end() ? hit->second : fresh.at(item.key),
+                    results[i]);
+    }
+    return results;
 }
 
 double

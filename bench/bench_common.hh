@@ -9,14 +9,16 @@
  * seed), so running every harness binary in sequence simulates each
  * combination exactly once.
  *
- * Harnesses enqueue every (config, scheme, workload) combination they
- * will read into a Sweep up front; Sweep::run() executes the ones the
- * cache does not already hold on a PIPM_BENCH_JOBS-sized thread pool.
- * Each experiment is a self-contained seeded simulation, so the results
- * — and the cache rows written — are bit-identical regardless of the
- * job count. Cache writes go through a single-writer merge: the file is
- * re-read, merged with the new rows, and atomically replaced via a
- * temp file + rename, with rows in canonical (key-sorted) order.
+ * A harness add()s every (config, scheme, workload) combination it
+ * reports to one Sweep, and Sweep::run() returns their results in add()
+ * order. run() simulates the ones the cache does not already hold on a
+ * PIPM_BENCH_JOBS-sized thread pool; it is the only path that simulates
+ * and stores a cached experiment. Each experiment is a self-contained
+ * seeded simulation, so the results — and the cache rows written — are
+ * bit-identical regardless of the job count. Cache writes go through a
+ * single-writer merge: the file is re-read, merged with the new rows,
+ * and atomically replaced via a temp file + rename, with rows in
+ * canonical (key-sorted) order.
  * The file starts with a header line naming the columns (cacheHeader);
  * a file with any other header is ignored as a whole, and malformed or
  * truncated rows (e.g. from an interrupted run) are skipped, both
@@ -28,18 +30,19 @@
  *   PIPM_BENCH_SEED    RNG seed (default 42)
  *   PIPM_BENCH_CACHE   cache file path (default ./pipm_bench_cache.tsv)
  *   PIPM_BENCH_JOBS    worker threads for Sweep::run (default 1)
- *   PIPM_BENCH_FAULTS  any value but empty/"0": enable the paper-default
- *                      fault schedule (harnesses calling applyEnvFaults);
- *                      a faultSchedules name or code selects that
- *                      schedule instead (e.g. "crash" or "2")
+ *   PIPM_BENCH_FAULTS  fault schedule of the harnesses calling
+ *                      applyEnvFaults: unset/"0" none, "1" the
+ *                      paper-default schedule, or a coded faultSchedules
+ *                      entry by name or code (e.g. "crash" or "2"); any
+ *                      other value exits 2
  *
  * The observability knobs (PIPM_STATS_JSON, PIPM_OBS_INTERVAL,
  * PIPM_OBS_TRACE, PIPM_OBS_WATCH — DESIGN.md §10) are resolved once in
  * optionsFromEnv() and forwarded through runConfigOf() with
  * RunConfig::obsFromEnv false, so every harness sees one consistent
- * resolution. Sweep::run() and cachedRun() clear the export path: cached
- * experiments may not re-run at all, and parallel sweep workers must not
- * race on a single output file. Direct runExperiment() callers
+ * resolution. Sweep::run() clears the export path: cached experiments
+ * may not re-run at all, and parallel sweep workers must not race on a
+ * single output file. Direct runExperiment() callers
  * (obs_report, perf_throughput) do export.
  */
 
@@ -91,18 +94,14 @@ void handleHarnessArgs(int argc, char **argv, const char *name,
 /** Build the RunConfig corresponding to the options. */
 pipm::RunConfig runConfigOf(const Options &opts);
 
-/** Run (or load from cache) one experiment. */
-pipm::RunResult cachedRun(const pipm::SystemConfig &cfg,
-                          pipm::Scheme scheme,
-                          const pipm::Workload &workload,
-                          const Options &opts);
-
 /**
- * A batch of experiments executed on a thread pool.
+ * A batch of experiments, loaded from the cache or executed on a thread
+ * pool.
  *
- * Harnesses add() every combination they will later read (duplicates
- * are fine — they dedupe by cache key), call run() once, and then keep
- * their existing cachedRun() reporting loops, which all hit the cache.
+ * Harnesses add() every combination they report, call run() once, and
+ * read the i-th add()'s result at index i (add() returns it).
+ * Duplicates are fine: they dedupe by cache key and each gets its own
+ * (equal) result.
  * run() simulates only the cache misses, with PIPM_BENCH_JOBS worker
  * threads, and merges the new rows into the cache file in one atomic
  * replace. Results are independent of the job count: every experiment
@@ -113,16 +112,23 @@ class Sweep
   public:
     explicit Sweep(const Options &opts) : opts_(opts) {}
 
-    /** Enqueue one experiment (the config is copied). */
-    void add(const pipm::SystemConfig &cfg, pipm::Scheme scheme,
-             const pipm::Workload &workload);
+    /**
+     * Enqueue one experiment (the config is copied; the workload must
+     * outlive run()).
+     * @return the experiment's index in run()'s results
+     */
+    std::size_t add(const pipm::SystemConfig &cfg, pipm::Scheme scheme,
+                    const pipm::Workload &workload);
 
     /**
-     * Simulate every enqueued experiment the cache does not hold and
-     * merge the results into the cache file.
-     * @return number of experiments actually simulated
+     * Simulate every enqueued experiment the cache does not hold, merge
+     * the new rows into the cache file, and return one result per add()
+     * in add() order. Each result is its cache row read back (a miss
+     * is serialised first), so a warm and a cold cache give the same
+     * digits; `workload` and `scheme` are set. One "[bench] running
+     * workload/scheme..." stderr line is printed per simulation.
      */
-    std::size_t run();
+    std::vector<pipm::RunResult> run();
 
   private:
     struct Item
@@ -179,12 +185,14 @@ inline constexpr FaultSchedule faultSchedules[] = {
 };
 
 /**
- * Enable a fault schedule on `cfg` when the PIPM_BENCH_FAULTS
- * environment variable is set (and not "0"): the faultSchedules entry
- * with that name or code, else the paper-default schedule.
+ * Enable the fault schedule PIPM_BENCH_FAULTS names on `cfg`, seeded
+ * with `seed` (Options::seed): "1" the paper-default schedule, else the
+ * coded faultSchedules entry with that name or code. Unset, empty or
+ * "0" leaves faults off; any other value prints the accepted ones and
+ * exits 2.
  * @return whether faults were enabled
  */
-bool applyEnvFaults(pipm::SystemConfig &cfg);
+bool applyEnvFaults(pipm::SystemConfig &cfg, std::uint64_t seed);
 
 /** base.execCycles / x.execCycles (speedup of x over base). */
 double speedupOver(const pipm::RunResult &base, const pipm::RunResult &x);

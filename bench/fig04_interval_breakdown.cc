@@ -40,58 +40,55 @@ main(int argc, char **argv)
 
     const auto workloads = table1Workloads(base_cfg.footprintScale);
 
-    // Enqueue every combination up front for the PIPM_BENCH_JOBS pool.
+    // Enqueue every combination up front for the PIPM_BENCH_JOBS pool;
+    // each bar pairs a run with its workload's native baseline.
+    struct Bar
+    {
+        std::size_t native, run;
+        double intervalMs;
+    };
     Sweep sweep(opts);
+    std::vector<Bar> bars;
     for (const auto &workload : workloads) {
-        sweep.add(base_cfg, Scheme::native, *workload);
+        const std::size_t native =
+            sweep.add(base_cfg, Scheme::native, *workload);
         for (Scheme s : schemes) {
             for (double interval : intervals_ms) {
                 SystemConfig cfg = base_cfg;
                 cfg.osMigration.intervalMs = interval;
-                sweep.add(cfg, s, *workload);
+                bars.push_back(
+                    {native, sweep.add(cfg, s, *workload), interval});
             }
         }
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
-    for (const auto &workload : workloads) {
-        const RunResult native =
-            cachedRun(base_cfg, Scheme::native, *workload, opts);
-        for (Scheme s : schemes) {
-            for (double interval : intervals_ms) {
-                SystemConfig cfg = base_cfg;
-                cfg.osMigration.intervalMs = interval;
-                const RunResult r = cachedRun(cfg, s, *workload, opts);
+    for (const Bar &bar : bars) {
+        const RunResult &native = results[bar.native];
+        const RunResult &r = results[bar.run];
+        const double total = static_cast<double>(r.execCycles) /
+                             static_cast<double>(native.execCycles);
+        // Management: kernel stalls summed over cores, expressed as a
+        // fraction of the native run's core-cycles.
+        const double mgmt =
+            static_cast<double>(r.mgmtStallCycles) /
+            (static_cast<double>(native.execCycles) * total_cores);
+        // Transfer: the link time consumed by page copies.
+        const double bytes_per_cycle = base_cfg.link.bytesPerNs / cyclesPerNs;
+        const double transfer =
+            static_cast<double>(r.migrationTransferBytes /
+                                base_cfg.migrationBytesScale) /
+            bytes_per_cycle / base_cfg.numHosts /
+            static_cast<double>(native.execCycles);
+        const double base_part = std::max(0.0, total - mgmt - transfer);
 
-                const double total =
-                    static_cast<double>(r.execCycles) /
-                    static_cast<double>(native.execCycles);
-                // Management: kernel stalls summed over cores, expressed
-                // as a fraction of the native run's core-cycles.
-                const double mgmt =
-                    static_cast<double>(r.mgmtStallCycles) /
-                    (static_cast<double>(native.execCycles) * total_cores);
-                // Transfer: the link time consumed by page copies.
-                const double bytes_per_cycle =
-                    cfg.link.bytesPerNs / cyclesPerNs;
-                const double transfer =
-                    static_cast<double>(r.migrationTransferBytes /
-                                        cfg.migrationBytesScale) /
-                    bytes_per_cycle / cfg.numHosts /
-                    static_cast<double>(native.execCycles);
-                const double base_part =
-                    std::max(0.0, total - mgmt - transfer);
-
-                table.row({workload->name(), std::string(toString(s)),
-                           TablePrinter::num(interval, 0) + "ms",
-                           TablePrinter::num(total, 2),
-                           TablePrinter::num(base_part, 2),
-                           TablePrinter::num(mgmt, 3),
-                           TablePrinter::num(transfer, 3),
-                           std::to_string(r.osMigrations +
-                                          r.osDemotions)});
-            }
-        }
+        table.row({r.workload, std::string(toString(r.scheme)),
+                   TablePrinter::num(bar.intervalMs, 0) + "ms",
+                   TablePrinter::num(total, 2),
+                   TablePrinter::num(base_part, 2),
+                   TablePrinter::num(mgmt, 3),
+                   TablePrinter::num(transfer, 3),
+                   std::to_string(r.osMigrations + r.osDemotions)});
     }
     table.print(std::cout);
     std::cout << "Paper: 100ms Nomad +10.5% / Memtis -1.4%; 10ms -4.8% / "

@@ -35,17 +35,16 @@ main(int argc, char **argv)
         sweep.add(cfg, Scheme::nomad, *workload);
         sweep.add(cfg, Scheme::memtis, *workload);
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One (nomad, memtis) pair per workload, in add() order.
     std::vector<double> nomad_pct, memtis_pct;
-    for (const auto &workload : workloads) {
-        const RunResult nomad =
-            cachedRun(cfg, Scheme::nomad, *workload, opts);
-        const RunResult memtis =
-            cachedRun(cfg, Scheme::memtis, *workload, opts);
+    for (std::size_t b = 0; b < results.size(); b += 2) {
+        const RunResult &nomad = results[b];
+        const RunResult &memtis = results[b + 1];
         nomad_pct.push_back(nomad.harmfulFraction());
         memtis_pct.push_back(memtis.harmfulFraction());
-        table.row({workload->name(),
+        table.row({nomad.workload,
                    TablePrinter::pct(nomad.harmfulFraction()),
                    TablePrinter::pct(memtis.harmfulFraction())});
     }

@@ -25,7 +25,7 @@ main(int argc, char **argv)
 
     const Options opts = optionsFromEnv();
     SystemConfig cfg = defaultConfig();
-    const bool faulty = applyEnvFaults(cfg);
+    const bool faulty = applyEnvFaults(cfg, opts.seed);
 
     TablePrinter table(
         "Figure 10: end-to-end speedup over Native CXL-DSM");
@@ -37,24 +37,22 @@ main(int argc, char **argv)
     const auto workloads = table1Workloads(cfg.footprintScale);
 
     // Enqueue the whole matrix up front so the cache misses run on the
-    // PIPM_BENCH_JOBS pool; the loops below then read from the cache.
+    // PIPM_BENCH_JOBS pool.
     Sweep sweep(opts);
     for (const auto &workload : workloads)
         for (Scheme s : allSchemes)
             sweep.add(cfg, s, *workload);
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One block of allSchemes runs per workload, native first.
+    static_assert(allSchemes.front() == Scheme::native);
     std::vector<std::vector<double>> columns(allSchemes.size());
     RunResult faultTotals;
-    for (const auto &workload : workloads) {
-        const RunResult native =
-            cachedRun(cfg, Scheme::native, *workload, opts);
-        std::vector<std::string> row = {workload->name()};
+    for (std::size_t b = 0; b < results.size(); b += allSchemes.size()) {
+        const RunResult &native = results[b];
+        std::vector<std::string> row = {native.workload};
         for (std::size_t i = 0; i < allSchemes.size(); ++i) {
-            const Scheme s = allSchemes[i];
-            const RunResult r =
-                s == Scheme::native ? native
-                                    : cachedRun(cfg, s, *workload, opts);
+            const RunResult &r = results[b + i];
             const double speedup = speedupOver(native, r);
             columns[i].push_back(speedup);
             row.push_back(TablePrinter::num(speedup, 2) + "x");

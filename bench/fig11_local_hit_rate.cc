@@ -41,15 +41,15 @@ main(int argc, char **argv)
     for (const auto &workload : workloads)
         for (Scheme s : schemes)
             sweep.add(cfg, s, *workload);
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One block of runs per workload, in schemes order.
     std::vector<double> sums(std::size(schemes), 0.0);
     unsigned count = 0;
-    for (const auto &workload : workloads) {
-        std::vector<std::string> row = {workload->name()};
+    for (std::size_t b = 0; b < results.size(); b += std::size(schemes)) {
+        std::vector<std::string> row = {results[b].workload};
         for (std::size_t i = 0; i < std::size(schemes); ++i) {
-            const RunResult r =
-                cachedRun(cfg, schemes[i], *workload, opts);
+            const RunResult &r = results[b + i];
             sums[i] += r.localHitRate();
             row.push_back(TablePrinter::pct(r.localHitRate()));
         }

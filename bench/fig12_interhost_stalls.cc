@@ -44,17 +44,17 @@ main(int argc, char **argv)
         for (Scheme s : schemes)
             sweep.add(cfg, s, *workload);
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One block per workload: native, then schemes in order.
     std::vector<double> sums(std::size(schemes), 0.0);
     unsigned count = 0;
-    for (const auto &workload : workloads) {
-        const RunResult native =
-            cachedRun(cfg, Scheme::native, *workload, opts);
-        std::vector<std::string> row = {workload->name()};
+    for (std::size_t b = 0; b < results.size();
+         b += 1 + std::size(schemes)) {
+        const RunResult &native = results[b];
+        std::vector<std::string> row = {native.workload};
         for (std::size_t i = 0; i < std::size(schemes); ++i) {
-            const RunResult r =
-                cachedRun(cfg, schemes[i], *workload, opts);
+            const RunResult &r = results[b + 1 + i];
             const double frac =
                 static_cast<double>(r.interHostStallCycles) /
                 (static_cast<double>(native.execCycles) * total_cores);

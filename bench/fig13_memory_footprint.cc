@@ -43,20 +43,20 @@ main(int argc, char **argv)
             sweep.add(cfg, s, *workload);
         sweep.add(cfg, Scheme::pipmFull, *workload);
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One block per workload: schemes in order, then pipm.
     std::vector<double> sums(std::size(schemes) + 2, 0.0);
     unsigned count = 0;
-    for (const auto &workload : workloads) {
-        std::vector<std::string> row = {workload->name()};
+    for (std::size_t b = 0; b < results.size();
+         b += std::size(schemes) + 1) {
+        std::vector<std::string> row = {results[b].workload};
         for (std::size_t i = 0; i < std::size(schemes); ++i) {
-            const RunResult r =
-                cachedRun(cfg, schemes[i], *workload, opts);
+            const RunResult &r = results[b + i];
             sums[i] += r.pageFootprintFrac;
             row.push_back(TablePrinter::pct(r.pageFootprintFrac));
         }
-        const RunResult pipm =
-            cachedRun(cfg, Scheme::pipmFull, *workload, opts);
+        const RunResult &pipm = results[b + std::size(schemes)];
         sums[std::size(schemes)] += pipm.pageFootprintFrac;
         sums[std::size(schemes) + 1] += pipm.lineFootprintFrac;
         row.push_back(TablePrinter::pct(pipm.pageFootprintFrac));

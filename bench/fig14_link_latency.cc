@@ -43,23 +43,17 @@ main(int argc, char **argv)
             sweep.add(cfg, Scheme::pipmFull, *workload);
         }
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // Per workload, a (native, pipm) pair per latency, in add() order.
     std::vector<double> base_speedups, high_speedups;
-    for (const auto &workload : workloads) {
-        double speedups[2];
-        for (int i = 0; i < 2; ++i) {
-            SystemConfig cfg = base_cfg;
-            cfg.link.latencyNs = latencies_ns[i];
-            const RunResult native =
-                cachedRun(cfg, Scheme::native, *workload, opts);
-            const RunResult pipm =
-                cachedRun(cfg, Scheme::pipmFull, *workload, opts);
-            speedups[i] = speedupOver(native, pipm);
-        }
+    for (std::size_t b = 0; b < results.size(); b += 4) {
+        const double speedups[2] = {
+            speedupOver(results[b], results[b + 1]),
+            speedupOver(results[b + 2], results[b + 3])};
         base_speedups.push_back(speedups[0]);
         high_speedups.push_back(speedups[1]);
-        table.row({workload->name(),
+        table.row({results[b].workload,
                    TablePrinter::num(speedups[0], 2) + "x",
                    TablePrinter::num(speedups[1], 2) + "x",
                    TablePrinter::pct(speedups[1] / speedups[0] - 1.0)});

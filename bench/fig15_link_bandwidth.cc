@@ -51,19 +51,15 @@ main(int argc, char **argv)
             sweep.add(cfg, Scheme::pipmFull, *workload);
         }
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // Per workload, a (native, pipm) pair per point, in add() order.
     std::vector<std::vector<double>> cols(3);
-    for (const auto &workload : workloads) {
-        std::vector<std::string> row = {workload->name()};
-        for (int i = 0; i < 3; ++i) {
-            SystemConfig cfg = base_cfg;
-            cfg.link.bytesPerNs = points[i].bytesPerNs;
-            const RunResult native =
-                cachedRun(cfg, Scheme::native, *workload, opts);
-            const RunResult pipm =
-                cachedRun(cfg, Scheme::pipmFull, *workload, opts);
-            const double s = speedupOver(native, pipm);
+    for (std::size_t b = 0; b < results.size(); b += 6) {
+        std::vector<std::string> row = {results[b].workload};
+        for (std::size_t i = 0; i < 3; ++i) {
+            const double s = speedupOver(results[b + 2 * i],
+                                         results[b + 2 * i + 1]);
             cols[i].push_back(s);
             row.push_back(TablePrinter::num(s, 2) + "x");
         }

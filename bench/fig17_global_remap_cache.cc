@@ -48,24 +48,16 @@ main(int argc, char **argv)
             sweep.add(cfg, Scheme::pipmFull, *workload);
         }
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One block per workload: the infinite cache, then sizes in order.
     std::vector<std::vector<double>> cols(std::size(sizes));
-    for (const auto &workload : workloads) {
-        SystemConfig inf_cfg = base_cfg;
-        inf_cfg.pipm.infiniteGlobalCache = true;
-        const RunResult infinite =
-            cachedRun(inf_cfg, Scheme::pipmFull, *workload, opts);
-
-        std::vector<std::string> row = {workload->name()};
+    for (std::size_t b = 0; b < results.size(); b += 1 + std::size(sizes)) {
+        const RunResult &infinite = results[b];
+        std::vector<std::string> row = {infinite.workload};
         for (std::size_t i = 0; i < std::size(sizes); ++i) {
-            SystemConfig cfg = base_cfg;
-            cfg.pipm.globalCacheBytes = sizes[i];
-            const RunResult r =
-                cachedRun(cfg, Scheme::pipmFull, *workload, opts);
-            const double rel =
-                static_cast<double>(infinite.execCycles) /
-                static_cast<double>(r.execCycles);
+            // The share of the infinite cache's performance.
+            const double rel = speedupOver(infinite, results[b + 1 + i]);
             cols[i].push_back(rel);
             row.push_back(TablePrinter::pct(rel));
         }

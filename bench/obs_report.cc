@@ -231,7 +231,7 @@ main(int argc, char **argv)
     if (file.empty()) {
         const Options opts = optionsFromEnv();
         SystemConfig cfg = defaultConfig();
-        applyEnvFaults(cfg);
+        applyEnvFaults(cfg, opts.seed);
         const auto workload =
             workloadByName(workload_name, cfg.footprintScale);
         RunConfig run_cfg = runConfigOf(opts);

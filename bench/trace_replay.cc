@@ -36,7 +36,7 @@ main(int argc, char **argv)
 
     const Options opts = optionsFromEnv();
     SystemConfig cfg = defaultConfig();
-    const bool faulty = applyEnvFaults(cfg);
+    const bool faulty = applyEnvFaults(cfg, opts.seed);
 
     // Resolve the trace set: recorded files from PIPM_TRACE_FILE
     // (colon-separated), else the generated model suite at the
@@ -85,31 +85,24 @@ main(int argc, char **argv)
     table.header(header);
 
     Sweep sweep(opts);
-    std::vector<SystemConfig> configs;
     for (const auto &workload : workloads) {
         // Replay at the recorded geometry: the trace defines the run.
         SystemConfig c = cfg;
         c.numHosts = workload->recordedHosts();
         c.coresPerHost = workload->recordedCoresPerHost();
-        c.validate();
-        configs.push_back(c);
         for (Scheme s : allSchemes)
             sweep.add(c, s, *workload);
     }
-    sweep.run();
+    const std::vector<RunResult> results = sweep.run();
 
+    // One block of allSchemes runs per trace, native first.
+    static_assert(allSchemes.front() == Scheme::native);
     std::vector<std::vector<double>> columns(allSchemes.size());
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        const auto &workload = *workloads[w];
-        const RunResult native =
-            cachedRun(configs[w], Scheme::native, workload, opts);
-        std::vector<std::string> row = {workload.name()};
+    for (std::size_t b = 0; b < results.size(); b += allSchemes.size()) {
+        const RunResult &native = results[b];
+        std::vector<std::string> row = {native.workload};
         for (std::size_t i = 0; i < allSchemes.size(); ++i) {
-            const Scheme s = allSchemes[i];
-            const RunResult r =
-                s == Scheme::native
-                    ? native
-                    : cachedRun(configs[w], s, workload, opts);
+            const RunResult &r = results[b + i];
             const double speedup = speedupOver(native, r);
             columns[i].push_back(speedup);
             row.push_back(TablePrinter::num(speedup, 2) + "x");

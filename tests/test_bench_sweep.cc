@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the benchmark sweep driver and TSV cache (bench_common):
- * job-count-independent results, canonical cache files, atomic merge
- * writes, and tolerance of malformed cache rows.
+ * job-count-independent results in add() order, canonical cache files,
+ * atomic merge writes, and tolerance of malformed cache rows. The
+ * experiments a run simulates are counted from its "[bench] running"
+ * stderr lines.
  */
 
 #include <cctype>
@@ -46,6 +48,38 @@ testOptions(const std::string &cache_path, unsigned jobs)
     return opts;
 }
 
+/** One Sweep::run() with its stderr captured. */
+struct SweepRun
+{
+    std::vector<RunResult> results;
+    std::string err;
+    std::size_t simulated = 0;   ///< "[bench] running" lines in err
+};
+
+SweepRun
+runCaptured(Sweep &sweep)
+{
+    SweepRun run;
+    testing::internal::CaptureStderr();
+    run.results = sweep.run();
+    run.err = testing::internal::GetCapturedStderr();
+    const std::string mark = "[bench] running ";
+    for (auto pos = run.err.find(mark); pos != std::string::npos;
+         pos = run.err.find(mark, pos + 1))
+        ++run.simulated;
+    return run;
+}
+
+/** A one-experiment sweep. */
+SweepRun
+runOne(const SystemConfig &cfg, Scheme scheme, const Workload &workload,
+       const Options &opts)
+{
+    Sweep sweep(opts);
+    sweep.add(cfg, scheme, workload);
+    return runCaptured(sweep);
+}
+
 class SweepTest : public ::testing::Test
 {
   protected:
@@ -82,8 +116,10 @@ TEST_F(SweepTest, JobCountDoesNotChangeResultsOrCacheFile)
         s1.add(cfg, s, *workload);
         s8.add(cfg, s, *workload);
     }
-    EXPECT_EQ(s1.run(), std::size(schemes));
-    EXPECT_EQ(s8.run(), std::size(schemes));
+    const SweepRun r1 = runCaptured(s1);
+    const SweepRun r8 = runCaptured(s8);
+    EXPECT_EQ(r1.simulated, std::size(schemes));
+    EXPECT_EQ(r8.simulated, std::size(schemes));
 
     // The cache files must be byte-identical: same rows, same canonical
     // order, regardless of how many worker threads produced them.
@@ -91,16 +127,13 @@ TEST_F(SweepTest, JobCountDoesNotChangeResultsOrCacheFile)
     EXPECT_FALSE(f1.empty());
     EXPECT_EQ(f1, slurp(parallel.cachePath));
 
-    // And the deserialized results must agree field-for-field.
-    for (Scheme s : schemes) {
-        const RunResult a = cachedRun(cfg, s, *workload, serial);
-        const RunResult b = cachedRun(cfg, s, *workload, parallel);
-        EXPECT_EQ(a.execCycles, b.execCycles);
-        EXPECT_EQ(a.instructions, b.instructions);
-        EXPECT_EQ(a.sharedLlcMisses, b.sharedLlcMisses);
-        EXPECT_EQ(a.interHostAccesses, b.interHostAccesses);
-        EXPECT_EQ(a.pipmPromotions, b.pipmPromotions);
-        EXPECT_EQ(a.pipmLinesIn, b.pipmLinesIn);
+    // And the results must agree field-for-field.
+    ASSERT_EQ(r1.results.size(), std::size(schemes));
+    ASSERT_EQ(r8.results.size(), std::size(schemes));
+    for (std::size_t i = 0; i < std::size(schemes); ++i) {
+        EXPECT_GT(r1.results[i].execCycles, 0u);
+        EXPECT_EQ(fuzz::fingerprintResult(r1.results[i]),
+                  fuzz::fingerprintResult(r8.results[i]));
     }
 }
 
@@ -114,11 +147,68 @@ TEST_F(SweepTest, RerunHitsCacheAndSimulatesNothing)
     first.add(cfg, Scheme::native, *workload);
     // Duplicate enqueues dedupe down to one simulation.
     first.add(cfg, Scheme::native, *workload);
-    EXPECT_EQ(first.run(), 1u);
+    const SweepRun miss = runCaptured(first);
+    EXPECT_EQ(miss.simulated, 1u);
+    ASSERT_EQ(miss.results.size(), 2u);
+    EXPECT_EQ(fuzz::fingerprintResult(miss.results[0]),
+              fuzz::fingerprintResult(miss.results[1]));
 
-    Sweep second(opts);
-    second.add(cfg, Scheme::native, *workload);
-    EXPECT_EQ(second.run(), 0u);
+    const SweepRun hit = runOne(cfg, Scheme::native, *workload, opts);
+    EXPECT_EQ(hit.simulated, 0u);
+    EXPECT_EQ(hit.err, "");
+    ASSERT_EQ(hit.results.size(), 1u);
+    EXPECT_EQ(fuzz::fingerprintResult(miss.results[0]),
+              fuzz::fingerprintResult(hit.results[0]));
+}
+
+TEST_F(SweepTest, ResultsFollowAddOrder)
+{
+    // Every result must be the one its add() enqueued, whatever mix of
+    // cache hits, misses and duplicates the sweep holds.
+    const SystemConfig cfg = defaultConfig();
+    const auto pr = workloadByName("pr", cfg.footprintScale);
+    const auto tc = workloadByName("tc", cfg.footprintScale);
+    struct Exp
+    {
+        const Workload *workload;
+        Scheme scheme;
+    };
+    const Exp hit = {pr.get(), Scheme::native};
+    const Exp exps[] = {{pr.get(), Scheme::pipmFull},
+                        hit,
+                        {tc.get(), Scheme::native},
+                        {pr.get(), Scheme::pipmFull},
+                        {tc.get(), Scheme::localOnly},
+                        hit};
+
+    // Reference results, each from a sweep of its own.
+    const Options ref_opts = testOptions(cachePath("order_ref"), 1);
+    std::vector<std::string> want;
+    for (const Exp &e : exps) {
+        const SweepRun r = runOne(cfg, e.scheme, *e.workload, ref_opts);
+        want.push_back(fuzz::fingerprintResult(r.results.at(0)));
+    }
+
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        const Options opts =
+            testOptions(cachePath("order_j" + std::to_string(jobs)), jobs);
+        ASSERT_EQ(runOne(cfg, hit.scheme, *hit.workload, opts).simulated,
+                  1u);
+
+        Sweep sweep(opts);
+        for (std::size_t i = 0; i < std::size(exps); ++i)
+            EXPECT_EQ(sweep.add(cfg, exps[i].scheme, *exps[i].workload), i);
+        const SweepRun run = runCaptured(sweep);
+        EXPECT_EQ(run.simulated, 3u) << run.err;
+        ASSERT_EQ(run.results.size(), std::size(exps));
+        for (std::size_t i = 0; i < std::size(exps); ++i) {
+            EXPECT_EQ(run.results[i].workload, exps[i].workload->name());
+            EXPECT_EQ(run.results[i].scheme, exps[i].scheme);
+            EXPECT_EQ(fuzz::fingerprintResult(run.results[i]), want[i])
+                << "result " << i;
+        }
+    }
 }
 
 TEST_F(SweepTest, MalformedCacheRowsAreSkippedAndDropped)
@@ -139,8 +229,9 @@ TEST_F(SweepTest, MalformedCacheRowsAreSkippedAndDropped)
 
     // The run must ignore the garbage, simulate, and atomically rewrite
     // the cache with only well-formed rows.
-    const RunResult r = cachedRun(cfg, Scheme::native, *workload, opts);
-    EXPECT_GT(r.execCycles, 0u);
+    const SweepRun miss = runOne(cfg, Scheme::native, *workload, opts);
+    EXPECT_EQ(miss.simulated, 1u);
+    EXPECT_GT(miss.results.at(0).execCycles, 0u);
 
     std::ifstream in(opts.cachePath);
     std::string line;
@@ -157,8 +248,9 @@ TEST_F(SweepTest, MalformedCacheRowsAreSkippedAndDropped)
     EXPECT_EQ(rows, 1u);
 
     // The surviving row must satisfy a second lookup (cache hit).
-    const RunResult again = cachedRun(cfg, Scheme::native, *workload, opts);
-    EXPECT_EQ(r.execCycles, again.execCycles);
+    const SweepRun hit = runOne(cfg, Scheme::native, *workload, opts);
+    EXPECT_EQ(hit.simulated, 0u);
+    EXPECT_EQ(miss.results.at(0).execCycles, hit.results.at(0).execCycles);
 }
 
 TEST_F(SweepTest, MergePreservesRowsWrittenByOthers)
@@ -168,12 +260,12 @@ TEST_F(SweepTest, MergePreservesRowsWrittenByOthers)
     const Options opts = testOptions(cachePath("merge"), 1);
 
     // First run writes one row.
-    cachedRun(cfg, Scheme::native, *workload, opts);
+    runOne(cfg, Scheme::native, *workload, opts);
     const std::string before = slurp(opts.cachePath);
     EXPECT_FALSE(before.empty());
 
     // A second, different experiment merges in without losing the first.
-    cachedRun(cfg, Scheme::localOnly, *workload, opts);
+    runOne(cfg, Scheme::localOnly, *workload, opts);
     const std::string after = slurp(opts.cachePath);
     EXPECT_NE(before, after);
     EXPECT_NE(after.find(before.substr(0, 16)), std::string::npos);
@@ -194,7 +286,7 @@ TEST_F(SweepTest, StaleOrMissingHeaderIsIgnoredAndRewritten)
     const SystemConfig cfg = defaultConfig();
     const auto workload = workloadByName("pr", cfg.footprintScale);
     const Options opts = testOptions(cachePath("header"), 1);
-    cachedRun(cfg, Scheme::native, *workload, opts);
+    runOne(cfg, Scheme::native, *workload, opts);
     const std::string good = slurp(opts.cachePath);
     const std::string row = good.substr(good.find('\n') + 1);
 
@@ -208,10 +300,9 @@ TEST_F(SweepTest, StaleOrMissingHeaderIsIgnoredAndRewritten)
             std::ofstream out(opts.cachePath, std::ios::trunc);
             out << stale;
         }
-        testing::internal::CaptureStderr();
-        cachedRun(cfg, Scheme::native, *workload, opts);
-        const std::string err = testing::internal::GetCapturedStderr();
-        EXPECT_NE(err.find("[bench] running"), std::string::npos) << err;
+        const SweepRun run = runOne(cfg, Scheme::native, *workload, opts);
+        const std::string &err = run.err;
+        EXPECT_EQ(run.simulated, 1u) << err;
         const auto warning = err.find("warning: ignoring cache");
         EXPECT_NE(warning, std::string::npos) << err;
         EXPECT_EQ(err.find("warning", warning + 1), std::string::npos)
@@ -231,23 +322,24 @@ TEST_F(SweepTest, CacheHitMatchesMissUnderSuspicionAndMetaFaults)
     const auto workload = workloadByName("pr", suspect.footprintScale);
     const Options opts = testOptions(cachePath("faults"), 1);
 
-    const RunResult s_miss = cachedRun(suspect, Scheme::pipmFull,
-                                       *workload, opts);
-    ASSERT_GT(s_miss.suspicions, 0u);
-    const RunResult m_miss = cachedRun(meta, Scheme::pipmFull, *workload,
-                                       opts);
-    ASSERT_GT(m_miss.metaCorruptions, 0u);
+    Sweep cold(opts);
+    cold.add(suspect, Scheme::pipmFull, *workload);
+    cold.add(meta, Scheme::pipmFull, *workload);
+    const SweepRun miss = runCaptured(cold);
+    EXPECT_EQ(miss.simulated, 2u);
+    ASSERT_EQ(miss.results.size(), 2u);
+    ASSERT_GT(miss.results[0].suspicions, 0u);
+    ASSERT_GT(miss.results[1].metaCorruptions, 0u);
 
-    testing::internal::CaptureStderr();
-    const RunResult s_hit = cachedRun(suspect, Scheme::pipmFull, *workload,
-                                      opts);
-    const RunResult m_hit = cachedRun(meta, Scheme::pipmFull, *workload,
-                                      opts);
-    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-    EXPECT_EQ(fuzz::fingerprintResult(s_miss),
-              fuzz::fingerprintResult(s_hit));
-    EXPECT_EQ(fuzz::fingerprintResult(m_miss),
-              fuzz::fingerprintResult(m_hit));
+    Sweep warm(opts);
+    warm.add(suspect, Scheme::pipmFull, *workload);
+    warm.add(meta, Scheme::pipmFull, *workload);
+    const SweepRun hit = runCaptured(warm);
+    EXPECT_EQ(hit.err, "");
+    ASSERT_EQ(hit.results.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(fuzz::fingerprintResult(miss.results[i]),
+                  fuzz::fingerprintResult(hit.results[i]));
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, zipf sampling, stats,
- * table printing, logging and configuration validation.
+ * table printing, logging, environment parsing and configuration
+ * validation.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <type_traits>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -258,6 +260,28 @@ TEST(Logging, PanicIfOnlyFiresWhenTrue)
     ThrowOnErrorGuard guard;
     EXPECT_NO_THROW(panic_if(false, "never"));
     EXPECT_THROW(panic_if(true, "always"), SimError);
+}
+
+TEST(Env, U64RejectsMalformedValues)
+{
+    ThrowOnErrorGuard guard;
+    const char *name = "PIPM_TEST_ENV_U64";
+    for (const char *bad : {"20k", "yes", "-1", " 5", "0x10", "1.5",
+                            "99999999999999999999"}) {
+        setenv(name, bad, 1);
+        try {
+            envU64(name, 7);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const SimError &e) {
+            EXPECT_NE(e.message.find(name), std::string::npos) << e.message;
+        }
+    }
+    setenv(name, "20000", 1);
+    EXPECT_EQ(envU64(name, 7), 20000u);
+    setenv(name, "", 1);
+    EXPECT_EQ(envU64(name, 7), 7u);
+    unsetenv(name);
+    EXPECT_EQ(envU64(name, 7), 7u);
 }
 
 /** Give a config field a different value (the key does not validate). */
