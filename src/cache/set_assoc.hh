@@ -30,22 +30,30 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "cache/replacement.hh"
 #include "common/logging.hh"
 #include "common/swar.hh"
+#include "common/uninit_vector.hh"
 
 namespace pipm
 {
 
 /**
  * A set-associative array of Meta entries keyed by 64-bit keys.
- * @tparam Meta per-entry payload (must be default-constructible)
+ * @tparam Meta per-entry payload (default-constructible, trivially
+ *         copyable and trivially destructible: payload storage is left
+ *         unwritten until a fill constructs the entry in place)
  */
 template <typename Meta>
 class SetAssoc
 {
+    static_assert(std::is_trivially_copyable_v<Meta> &&
+                      std::is_trivially_destructible_v<Meta>,
+                  "SetAssoc payloads are built on fill, never destroyed");
+
   public:
     /** Upper bound on associativity (stack scratch sizing). */
     static constexpr unsigned maxWays = 64;
@@ -396,7 +404,7 @@ class SetAssoc
         tags_[i] = fp;
         replWords_[i] = repl_.onFill(++useClock_);
         keys_[i] = key;
-        meta_[i] = std::move(meta);
+        std::construct_at(&meta_[i], std::move(meta));
     }
 
     /** Evict the set's policy victim and fill the new key in its place. */
@@ -442,15 +450,17 @@ class SetAssoc
     unsigned ways_;
     Replacement repl_;
     std::uint64_t useClock_ = 0;
-    // Only tags_ is zeroed at construction. A key is read only after its
-    // way's tag matched, and a replacement word only on a hit or once
-    // evictAndFill finds every way of the set filled — so neither array
-    // is ever read before it is written, and clearing them would only
-    // cost set-up time (megabytes for the device directory).
+    // Only tags_ is zeroed at construction. A key or payload is read only
+    // after its way's tag matched (or, for the victim's, once
+    // evictAndFill finds every way of the set filled), and a replacement
+    // word only on a hit or in that same full-set case — so none of the
+    // other three arrays is ever read before fill() writes it, and
+    // clearing them would only cost set-up time (megabytes for the
+    // device directory).
     std::vector<std::uint8_t> tags_;     ///< 0 = empty, else fingerprint
     std::unique_ptr<std::uint64_t[]> keys_;   ///< confirmed on tag match
     std::unique_ptr<ReplWord[]> replWords_;   ///< touched on hit/fill only
-    std::vector<Meta> meta_;             ///< touched on hit/fill only
+    UninitVector<Meta> meta_;            ///< built in place by fill()
 };
 
 } // namespace pipm

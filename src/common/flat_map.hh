@@ -30,11 +30,13 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/swar.hh"
+#include "common/uninit_vector.hh"
 
 namespace pipm
 {
@@ -54,7 +56,9 @@ flatHashMix(std::uint64_t x)
 /**
  * Open-addressing hash map from an integer-like key to a value.
  * @tparam K key type, convertible to std::uint64_t for hashing
- * @tparam V mapped type (default-constructible)
+ * @tparam V mapped type (default-constructible; K and V trivially
+ *         copy-constructible and destructible, because slot storage is
+ *         left unwritten until an insert constructs the pair in place)
  */
 template <typename K, typename V>
 class FlatMap
@@ -110,6 +114,10 @@ class FlatMap
     using const_iterator = Iter<true>;
 
     FlatMap() = default;
+    FlatMap(const FlatMap &) = delete;
+    FlatMap &operator=(const FlatMap &) = delete;
+    FlatMap(FlatMap &&) = default;
+    FlatMap &operator=(FlatMap &&) = default;
 
     // ---- Capacity ------------------------------------------------------
 
@@ -356,8 +364,7 @@ class FlatMap
             if (mz) {
                 i += static_cast<std::size_t>(std::countr_zero(mz)) / 8;
                 filled_[i] = tag;
-                slots_[i].first = key;
-                slots_[i].second = V{};
+                std::construct_at(&slots_[i], key, V{});
                 ++size_;
                 return i;
             }
@@ -370,8 +377,7 @@ class FlatMap
             i = (i + 1) & mask;
         }
         filled_[i] = tag;
-        slots_[i].first = key;
-        slots_[i].second = V{};
+        std::construct_at(&slots_[i], key, V{});
         ++size_;
         return i;
     }
@@ -400,12 +406,14 @@ class FlatMap
         --size_;
     }
 
+    /** Grow to new_cap slots. Only the occupancy bytes are zeroed; each
+     *  slot is written when a key lands in it. */
     void
     rehash(std::size_t new_cap)
     {
-        std::vector<value_type> old_slots = std::move(slots_);
+        UninitVector<value_type> old_slots = std::move(slots_);
         std::vector<std::uint8_t> old_filled = std::move(filled_);
-        slots_.assign(new_cap, value_type{});
+        slots_.resize(new_cap);
         filled_.assign(new_cap, 0);
         const std::size_t mask = new_cap - 1;
         for (std::size_t s = 0; s < old_slots.size(); ++s) {
@@ -415,11 +423,11 @@ class FlatMap
             while (filled_[i])
                 i = (i + 1) & mask;
             filled_[i] = old_filled[s];
-            slots_[i] = std::move(old_slots[s]);
+            std::construct_at(&slots_[i], std::move(old_slots[s]));
         }
     }
 
-    std::vector<value_type> slots_;
+    UninitVector<value_type> slots_;    ///< read only where filled_ != 0
     std::vector<std::uint8_t> filled_;
     std::size_t size_ = 0;
 };

@@ -91,14 +91,19 @@ class Rng
  * Zipfian rank sampler over [0, n) with skew parameter theta, using the
  * Gray et al. approximation (the same construction YCSB uses). Rank 0 is
  * the hottest item.
+ *
+ * The normaliser zeta(n, theta) costs up to 100k pow() calls, and every
+ * core of every run builds a sampler over the same few (n, theta) pairs,
+ * so it is computed once per pair per process (normaliser()) and shared.
+ * After the first sampler of a pair, construction is O(1).
  */
 class ZipfSampler
 {
   public:
-    ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta)
+    ZipfSampler(std::uint64_t n, double theta)
+        : n_(n), theta_(theta), zetan_(normaliser(n, theta))
     {
-        zetan_ = zeta(n);
-        zeta2_ = zeta(2);
+        zeta2_ = zeta(2, theta_);
         alpha_ = 1.0 / (1.0 - theta_);
         eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
                (1.0 - zeta2_ / zetan_);
@@ -123,26 +128,22 @@ class ZipfSampler
 
     std::uint64_t itemCount() const { return n_; }
 
-  private:
-    double
-    zeta(std::uint64_t n) const
-    {
-        // Exact up to a cutoff, then the Euler-Maclaurin tail; accurate to
-        // well under 0.1% for the n we use and O(1)-ish to compute.
-        constexpr std::uint64_t cutoff = 100000;
-        double sum = 0.0;
-        const std::uint64_t m = n < cutoff ? n : cutoff;
-        for (std::uint64_t i = 1; i <= m; ++i)
-            sum += std::pow(1.0 / static_cast<double>(i), theta_);
-        if (n > cutoff) {
-            const double a = static_cast<double>(cutoff);
-            const double b = static_cast<double>(n);
-            sum += (std::pow(b, 1.0 - theta_) - std::pow(a, 1.0 - theta_)) /
-                   (1.0 - theta_);
-        }
-        return sum;
-    }
+    /**
+     * Generalised harmonic number sum_{i=1..n} i^-theta: exact up to a
+     * cutoff of 100k terms, then the Euler-Maclaurin tail (accurate to
+     * well under 0.1% for the n we use). Up to 100k pow() calls; not
+     * cached.
+     */
+    static double zeta(std::uint64_t n, double theta);
 
+    /**
+     * zeta(n, theta), computed on the first call for a given (n, theta)
+     * and served from a process-wide table after that. Bit-identical to
+     * zeta(); safe to call from concurrent threads.
+     */
+    static double normaliser(std::uint64_t n, double theta);
+
+  private:
     std::uint64_t n_;
     double theta_;
     double zetan_;

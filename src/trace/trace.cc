@@ -188,7 +188,8 @@ TraceWriter::writeTo(const std::string &path) const
 
     std::vector<std::uint8_t> header;
     header.reserve(128 + 16 * streams_.size());
-    header.insert(header.end(), traceMagic, traceMagic + sizeof traceMagic);
+    for (char c : traceMagic)
+        put8(header, static_cast<std::uint8_t>(c));
     put8(header, traceVersion);
     put8(header, 0);  // reserved
     put32(header, meta_.numHosts);

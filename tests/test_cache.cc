@@ -1,14 +1,18 @@
 /**
  * @file
- * Unit tests for the set-associative array and replacement policies.
+ * Unit tests for the set-associative array and replacement policies,
+ * including a model check that every path returning a payload returns
+ * what was inserted (payload storage is built on fill, not zeroed).
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "cache/set_assoc.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace pipm
 {
@@ -134,6 +138,167 @@ TEST(SetAssoc, SrripEvictsSomethingValid)
     ASSERT_TRUE(evicted);
     EXPECT_LT(evicted->key, 4u);
     EXPECT_NE(cache.lookup(100), nullptr);
+}
+
+/** A payload whose default is not all-zero bytes. */
+struct Marked
+{
+    std::uint64_t a = 0xa5a5a5a5a5a5a5a5ull;
+    std::uint32_t b = 7;
+
+    bool operator==(const Marked &) const = default;
+};
+
+class PayloadModel : public ::testing::TestWithParam<ReplPolicy>
+{
+};
+
+// Drive every payload-returning path against a key -> payload model:
+// lookup, probe, insert, insertIfAbsent, fetchOrInsert, acquire and
+// insertOrGet (resident and fresh), invalidate, each evicted Entry, and
+// forEach. Presence and payload must match the model after every step.
+TEST_P(PayloadModel, EveryPathReturnsWhatWasInserted)
+{
+    SetAssoc<Marked> cache(8, 4, GetParam(), 5);
+    std::map<std::uint64_t, Marked> model;
+    Rng rng(23);
+    std::uint32_t serial = 0;
+    auto fresh = [&serial] {
+        ++serial;
+        return Marked{0x1000ull * serial + 3, serial};
+    };
+    auto evictedFromModel =
+        [&model](const std::optional<SetAssoc<Marked>::Entry> &e) {
+            if (!e)
+                return;
+            const auto it = model.find(e->key);
+            ASSERT_NE(it, model.end()) << "evicted a key never inserted";
+            EXPECT_EQ(e->meta, it->second) << "evicted key " << e->key;
+            model.erase(it);
+        };
+    auto expectResident = [&model](std::uint64_t key, const Marked *m) {
+        const auto it = model.find(key);
+        ASSERT_NE(it, model.end());
+        ASSERT_NE(m, nullptr);
+        EXPECT_EQ(*m, it->second) << "key " << key;
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t key = rng.below(96);
+        const bool present = model.contains(key);
+        switch (rng.below(9)) {
+          case 0: {
+            Marked *m = cache.lookup(key);
+            EXPECT_EQ(m != nullptr, present) << "lookup " << key;
+            if (m)
+                expectResident(key, m);
+            break;
+          }
+          case 1: {
+            const Marked *m = cache.probe(key);
+            EXPECT_EQ(m != nullptr, present) << "probe " << key;
+            if (m)
+                expectResident(key, m);
+            break;
+          }
+          case 2:
+            if (!present) {
+                const Marked v = fresh();
+                evictedFromModel(cache.insert(key, v));
+                model[key] = v;
+            }
+            break;
+          case 3: {
+            const Marked v = fresh();
+            auto e = cache.insertIfAbsent(key, v);
+            if (!present) {
+                evictedFromModel(e);
+                model[key] = v;
+            } else {
+                EXPECT_FALSE(e);
+            }
+            break;
+          }
+          case 4: {
+            const Marked v = fresh();
+            std::optional<SetAssoc<Marked>::Entry> e;
+            Marked *m = cache.fetchOrInsert(key, v, e);
+            if (present) {
+                expectResident(key, m);
+                EXPECT_FALSE(e);
+            } else {
+                EXPECT_EQ(m, nullptr);
+                evictedFromModel(e);
+                model[key] = v;
+            }
+            break;
+          }
+          case 5:
+          case 6: {
+            const Marked v = fresh();
+            std::optional<SetAssoc<Marked>::Entry> e;
+            bool resident = false;
+            Marked *m = rng.chance(0.5)
+                            ? cache.acquire(key, v, e, resident)
+                            : cache.insertOrGet(key, v, e, resident);
+            EXPECT_EQ(resident, present);
+            if (!present) {
+                evictedFromModel(e);
+                model[key] = v;
+            }
+            expectResident(key, m);
+            ASSERT_NE(m, nullptr);
+            // Writes through the returned pointer stick.
+            m->b += 1000;
+            model[key].b += 1000;
+            break;
+          }
+          case 7: {
+            auto e = cache.invalidate(key);
+            EXPECT_EQ(e.has_value(), present) << "invalidate " << key;
+            if (e) {
+                EXPECT_EQ(e->key, key);
+                EXPECT_EQ(e->meta, model.at(key));
+                model.erase(key);
+            }
+            break;
+          }
+          default: {
+            std::size_t seen = 0;
+            cache.forEach([&](const SetAssoc<Marked>::Entry &e) {
+                ++seen;
+                const auto it = model.find(e.key);
+                ASSERT_NE(it, model.end()) << "forEach key " << e.key;
+                EXPECT_EQ(e.meta, it->second) << "forEach key " << e.key;
+            });
+            EXPECT_EQ(seen, model.size());
+            break;
+          }
+        }
+        ASSERT_FALSE(::testing::Test::HasFailure()) << "step " << step;
+    }
+    EXPECT_EQ(cache.occupancy(), model.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, PayloadModel,
+    ::testing::Values(ReplPolicy::lru, ReplPolicy::random,
+                      ReplPolicy::srrip),
+    [](const ::testing::TestParamInfo<ReplPolicy> &info) {
+        switch (info.param) {
+          case ReplPolicy::lru: return std::string("lru");
+          case ReplPolicy::random: return std::string("random");
+          case ReplPolicy::srrip: break;
+        }
+        return std::string("srrip");
+    });
+
+TEST(SetAssoc, DefaultPayloadIsTheInsertedOneNotZeroBytes)
+{
+    SetAssoc<Marked> cache(4, 2);
+    cache.insert(1, Marked{});
+    ASSERT_NE(cache.probe(1), nullptr);
+    EXPECT_EQ(*cache.probe(1), Marked{});
 }
 
 TEST(Replacement, LruVictimIsSmallestStamp)

@@ -11,6 +11,8 @@
 #include <set>
 #include <sstream>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/env.hh"
@@ -123,6 +125,50 @@ TEST(Zipf, HigherThetaConcentratesMass)
         hot_top += hot.sample(rng_b) < 100;
     }
     EXPECT_GT(hot_top, mild_top * 2);
+}
+
+// No other case uses (4099, 0.613), so the first sampler computes its
+// normaliser and the second is served from the table.
+TEST(Zipf, WarmNormaliserDrawsTheColdSequence)
+{
+    const ZipfSampler cold(4099, 0.613);
+    const ZipfSampler warm(4099, 0.613);
+    EXPECT_EQ(ZipfSampler::normaliser(4099, 0.613),
+              ZipfSampler::zeta(4099, 0.613));
+    Rng rng_cold(17), rng_warm(17);
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(cold.sample(rng_cold), warm.sample(rng_warm)) << i;
+}
+
+TEST(Zipf, PairsDifferingInOneFieldNeverShareANormaliser)
+{
+    // Neighbours of a base pair in n or in theta (down to one ulp), on
+    // both sides of zeta's 100k exact-sum cutoff.
+    const std::vector<std::pair<std::uint64_t, double>> pairs = {
+        {5000, 0.7},
+        {5001, 0.7},
+        {4999, 0.7},
+        {5000, 0.71},
+        {5000, std::nextafter(0.7, 1.0)},
+        {5000, std::nextafter(0.7, 0.0)},
+        {200000, 0.7},
+        {200001, 0.7},
+        {200000, 0.69},
+    };
+    // Fill the table in one order, read it back in the other: every
+    // pair must get its own exact sum.
+    for (const auto &[n, theta] : pairs)
+        ZipfSampler::normaliser(n, theta);
+    for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) {
+        EXPECT_EQ(ZipfSampler::normaliser(it->first, it->second),
+                  ZipfSampler::zeta(it->first, it->second))
+            << it->first << ' ' << it->second;
+    }
+    // The neighbours' sums differ, so a shared entry would show above.
+    EXPECT_NE(ZipfSampler::zeta(5000, 0.7), ZipfSampler::zeta(5001, 0.7));
+    EXPECT_NE(ZipfSampler::zeta(5000, 0.7), ZipfSampler::zeta(5000, 0.71));
+    EXPECT_NE(ZipfSampler::zeta(200000, 0.7),
+              ZipfSampler::zeta(200001, 0.7));
 }
 
 TEST(Stats, CounterAccumulatesAndResets)

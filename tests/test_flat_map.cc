@@ -197,6 +197,84 @@ TEST(FlatMap, RandomizedAgainstUnorderedMapModel)
     EXPECT_EQ(iterated, model.size());
 }
 
+/** A mapped type whose default is not all-zero bytes. */
+struct Tagged
+{
+    std::uint64_t a = 0x5a5a5a5a5a5a5a5aull;
+    std::uint32_t b = 9;
+
+    bool operator==(const Tagged &) const = default;
+};
+
+Tagged
+taggedFor(std::uint64_t k)
+{
+    return Tagged{k * 0x9e3779b97f4a7c15ull, static_cast<std::uint32_t>(k)};
+}
+
+/** find, both at()s and a full iteration agree with the model. */
+void
+expectMatchesModel(FlatMap<std::uint64_t, Tagged> &m,
+                   const std::unordered_map<std::uint64_t, Tagged> &model)
+{
+    ASSERT_EQ(m.size(), model.size());
+    const auto &cm = m;
+    for (const auto &[k, v] : model) {
+        const auto it = m.find(k);
+        ASSERT_NE(it, m.end()) << k;
+        EXPECT_EQ(it->first, k);
+        EXPECT_EQ(it->second, v) << k;
+        EXPECT_EQ(m.at(k), v) << k;
+        EXPECT_EQ(cm.at(k), v) << k;
+        EXPECT_EQ(cm.find(k)->second, v) << k;
+    }
+    std::size_t iterated = 0;
+    for (const auto &[k, v] : cm) {
+        const auto uit = model.find(k);
+        ASSERT_NE(uit, model.end()) << k;
+        EXPECT_EQ(v, uit->second) << k;
+        ++iterated;
+    }
+    EXPECT_EQ(iterated, model.size());
+}
+
+// Slot storage is left unwritten on reserve and rehash; every path that
+// returns a value must return what was inserted, never slot bytes.
+TEST(FlatMap, ValuesSurviveGrowthAndBackwardShiftErase)
+{
+    for (const std::size_t reserved : {std::size_t{0}, std::size_t{300}}) {
+        FlatMap<std::uint64_t, Tagged> m;
+        m.reserve(reserved);
+        std::unordered_map<std::uint64_t, Tagged> model;
+        // Strided keys make long probe runs; 1000 keys grow the table
+        // through several rehashes either way.
+        for (std::uint64_t i = 0; i < 1000; ++i) {
+            const std::uint64_t k = i * 64;
+            if (i % 5 == 0) {
+                // operator[] on an absent key yields V{}, not zeros.
+                EXPECT_EQ(m[k], Tagged{});
+                model[k] = Tagged{};
+            } else {
+                m.emplace(k, taggedFor(k));
+                model[k] = taggedFor(k);
+            }
+        }
+        expectMatchesModel(m, model);
+        // Backward-shift erase moves survivors between slots.
+        for (std::uint64_t i = 0; i < 1000; i += 3) {
+            EXPECT_TRUE(m.erase(i * 64));
+            model.erase(i * 64);
+        }
+        expectMatchesModel(m, model);
+        // Refill the holes the erases left and grow once more.
+        for (std::uint64_t i = 0; i < 2000; i += 3) {
+            m.insert_or_assign(i * 64, taggedFor(i));
+            model[i * 64] = taggedFor(i);
+        }
+        expectMatchesModel(m, model);
+    }
+}
+
 TEST(FlatSet, InsertEraseContains)
 {
     FlatSet<std::uint64_t> s;

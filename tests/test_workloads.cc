@@ -2,12 +2,15 @@
  * @file
  * Tests for the workload catalog and the synthetic trace generators:
  * Table 1 contents, determinism, and statistical properties (affinity,
- * read fraction, bounds, drift).
+ * read fraction, bounds, drift), and concurrent trace construction.
  */
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "workloads/catalog.hh"
@@ -165,6 +168,48 @@ TEST(Synthetic, ScanDriftMovesTheWindow)
     for (std::uint64_t p : late)
         fresh += !early.contains(p);
     EXPECT_GT(fresh, late.size() / 10);
+}
+
+// Sweep workers call makeTrace concurrently on one const workload, and
+// the zipf normaliser table is the state they share. Eight threads build
+// their streams at once on a cold table; each must equal the stream the
+// same (host, core, seed) gives when built alone afterwards.
+TEST(Synthetic, ConcurrentMakeTraceMatchesSerial)
+{
+    constexpr unsigned threads = 8, hosts = 4, cores = 2;
+    constexpr int refs = 10000;
+    // Partition sizes no other case here builds: the table is cold.
+    const auto wl = workloadByName("xsbench", scale / 2);
+    auto stream = [&wl](unsigned t) {
+        auto trace = wl->makeTrace(static_cast<HostId>(t % hosts),
+                                   static_cast<CoreId>(t / hosts), cores,
+                                   hosts, 1000 + t);
+        std::vector<MemRef> out(refs);
+        for (MemRef &r : out)
+            r = trace->next();
+        return out;
+    };
+    std::vector<std::vector<MemRef>> concurrent(threads);
+    {
+        std::latch start(threads);
+        std::vector<std::jthread> pool;
+        for (unsigned t = 0; t < threads; ++t) {
+            pool.emplace_back([&, t] {
+                start.arrive_and_wait();
+                concurrent[t] = stream(t);
+            });
+        }
+    }
+    for (unsigned t = 0; t < threads; ++t) {
+        const std::vector<MemRef> serial = stream(t);
+        for (int i = 0; i < refs; ++i) {
+            const MemRef &a = concurrent[t][i], &b = serial[i];
+            ASSERT_TRUE(a.page == b.page && a.lineIdx == b.lineIdx &&
+                        a.op == b.op && a.gap == b.gap &&
+                        a.shared == b.shared)
+                << "thread " << t << " ref " << i;
+        }
+    }
 }
 
 } // namespace
