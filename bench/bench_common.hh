@@ -42,8 +42,8 @@
  * RunConfig::obsFromEnv false, so every harness sees one consistent
  * resolution. Sweep::run() clears the export path: cached experiments
  * may not re-run at all, and parallel sweep workers must not race on a
- * single output file. Direct runExperiment() callers
- * (obs_report, perf_throughput) do export.
+ * single output file. A direct runExperiment() caller (obs_report)
+ * does export.
  */
 
 #ifndef PIPM_BENCH_COMMON_HH

@@ -156,8 +156,9 @@ TEST(CrashSchedule, DeterministicAndWellFormed)
         EXPECT_EQ(ea.host, eb.host);
         EXPECT_EQ(ea.rejoin, eb.rejoin);
         EXPECT_LT(ea.host, 4);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(ea.at, a.crashSchedule()[i - 1].at);
+        }
     }
     // With a rejoin delay every crash eventually has a matching rejoin.
     std::uint64_t crashes = 0;

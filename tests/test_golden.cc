@@ -2,8 +2,9 @@
  * @file
  * Golden results: every scheme, under every fault mode, on two Table 1
  * workloads, at short run lengths, must reproduce pinned digests of its
- * integer RunResult fields. A refactor that moves any simulated number —
- * a cycle, a counter, a fault-path tally — fails here.
+ * integer RunResult fields; so must every scheme on pr at the full
+ * Table 2 scale with faults off. A refactor that moves any simulated
+ * number — a cycle, a counter, a fault-path tally — fails here.
  *
  * Each digest is FNV-1a over the little-endian bytes of every
  * runResultFields row with a u64 member, in table order. Only integers
@@ -75,6 +76,32 @@ const FaultMode faultModes[] = {
          return r.metaCorruptions + r.metaCorruptSkipped;
      }},
 };
+
+/** The system size, run lengths and seed a case runs at. */
+struct Shape
+{
+    /** Appended to the case's key and test name ("": the short runs). */
+    const char *name;
+    /** Resize the Table 2 system (nothing: Table 2 as it stands). */
+    void (*apply)(SystemConfig &);
+    std::uint64_t warmupRefs;
+    std::uint64_t measureRefs;
+    std::uint64_t seed;
+};
+
+// Table 2 at a smaller footprint scale, with a CXL pool that still
+// holds pr's heap: long enough runs for PIPM promotions and OS epochs
+// to fire, cheap enough invariant checks at every crash.
+const Shape shortRuns = {"",
+                         [](SystemConfig &cfg) {
+                             cfg.footprintScale = 4096;
+                             cfg.cxlPoolBytesFull = 64ull << 30;
+                         },
+                         2'000, 10'000, 3};
+
+// defaultConfig() unchanged, at the run lengths and seed the Table 2
+// system's simulated cycles were first recorded at.
+const Shape table2 = {"table2", [](SystemConfig &) {}, 5'000, 20'000, 42};
 
 /** Digests recorded before the MultiHostSystem per-case split. */
 const std::map<std::string, std::uint64_t> golden = {
@@ -168,20 +195,43 @@ const std::map<std::string, std::uint64_t> golden = {
     {"ycsb/meta/pipm", 0x6b165bad4d098528ull},
     {"ycsb/meta/local-only", 0xae1c69852e826c2dull},
     {"ycsb/meta/pipm-naive", 0x6384fc67b0af504full},
+    // execCycles: native 4013352, nomad 3567356, memtis 2486999, hemem
+    // 3221441, os-skew 2375358, hw-static 3289315, pipm 2275235,
+    // local-only 1336097, pipm-naive 3209665.
+    {"pr/off/table2/native", 0xe7e26da1e81558feull},
+    {"pr/off/table2/nomad", 0xef4e3ddf2ffe2f89ull},
+    {"pr/off/table2/memtis", 0xac50292e3a0addd6ull},
+    {"pr/off/table2/hemem", 0x8295c2d9191c7079ull},
+    {"pr/off/table2/os-skew", 0x45ef86cbe6cd79ceull},
+    {"pr/off/table2/hw-static", 0x3e1a7ef0304c1a9cull},
+    {"pr/off/table2/pipm", 0x78244894295477f7ull},
+    {"pr/off/table2/local-only", 0xf313fbca4357c6abull},
+    {"pr/off/table2/pipm-naive", 0x897c39f4f31a93f1ull},
 };
 
 struct GoldenCase
 {
     const char *workload;
     const FaultMode *mode;
+    const Shape *shape;
+
+    /** workload, mode and any shape name, joined by `sep`. */
+    std::string
+    name(const char *sep) const
+    {
+        std::string out = std::string(workload) + sep + mode->name;
+        if (*shape->name)
+            out += sep + std::string(shape->name);
+        return out;
+    }
 };
 
-// Without this, gtest prints the case as its raw bytes, two pointers that
+// Without this, gtest prints the case as its raw bytes, pointers that
 // differ with every address-space layout, and ctest's test names with them.
 void
 PrintTo(const GoldenCase &gc, std::ostream *os)
 {
-    *os << gc.workload << "/" << gc.mode->name;
+    *os << gc.name("/");
 }
 
 class GoldenTest : public ::testing::TestWithParam<GoldenCase>
@@ -191,27 +241,22 @@ class GoldenTest : public ::testing::TestWithParam<GoldenCase>
 TEST_P(GoldenTest, EverySchemeMatchesItsPinnedDigest)
 {
     const GoldenCase &gc = GetParam();
-    // Table 2 at a smaller footprint scale, with a CXL pool that still
-    // holds pr's heap: long enough runs for PIPM promotions and OS epochs
-    // to fire, cheap enough invariant checks at every crash.
     SystemConfig cfg = defaultConfig();
-    cfg.footprintScale = 4096;
-    cfg.cxlPoolBytesFull = 64ull << 30;
+    gc.shape->apply(cfg);
     gc.mode->apply(cfg.fault);
     cfg.validate();
     const auto workload = workloadByName(gc.workload, cfg.footprintScale);
 
     RunConfig run;
-    run.warmupRefsPerCore = 2'000;
-    run.measureRefsPerCore = 10'000;
+    run.warmupRefsPerCore = gc.shape->warmupRefs;
+    run.measureRefsPerCore = gc.shape->measureRefs;
     run.footprintSampleEvery = 5'000;
-    run.seed = 3;
+    run.seed = gc.shape->seed;
     run.obsFromEnv = false;
 
     for (Scheme s : allSchemesExtended) {
-        const std::string key = std::string(gc.workload) + "/" +
-                                gc.mode->name + "/" +
-                                std::string(toString(s));
+        const std::string key =
+            gc.name("/") + "/" + std::string(toString(s));
         const RunResult r = runExperiment(cfg, s, *workload, run);
         EXPECT_GT(r.execCycles, 0u) << key;
         // Local-only never crosses the fabric, so no fault reaches it.
@@ -239,15 +284,15 @@ allCases()
     std::vector<GoldenCase> out;
     for (const char *w : {"pr", "ycsb"})
         for (const FaultMode &m : faultModes)
-            out.push_back({w, &m});
+            out.push_back({w, &m, &shortRuns});
+    out.push_back({"pr", &faultModes[0], &table2});
     return out;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Golden, GoldenTest, ::testing::ValuesIn(allCases()),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
-        return std::string(info.param.workload) + "_" +
-               info.param.mode->name;
+        return info.param.name("_");
     });
 
 } // namespace

@@ -217,8 +217,9 @@ TEST_F(MultiCoreHierarchyTest, FusedAccessMatchesHistoricalSequence)
         }
 
         ASSERT_EQ(a.level, hist_level) << "step " << step;
-        if (!is_write)
+        if (!is_write) {
             ASSERT_EQ(fused_read, hist_read) << "step " << step;
+        }
         ASSERT_EQ(fused_ev.has_value(), hist_ev.has_value())
             << "step " << step;
         if (fused_ev) {

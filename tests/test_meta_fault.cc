@@ -171,8 +171,9 @@ TEST(MetaSchedule, SameSeedIsDeterministic)
         EXPECT_EQ(sa[i].remapTarget, sb[i].remapTarget);
         EXPECT_EQ(sa[i].shadowHit, sb[i].shadowHit);
         EXPECT_NE(sa[i].bits, 0u);   // a corruption always flips a bit
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(sa[i].at, sa[i - 1].at);
+        }
         any_shadow = any_shadow || sa[i].shadowHit;
         any_clean = any_clean || !sa[i].shadowHit;
     }

@@ -124,8 +124,9 @@ TEST(ModelProperties, EncodingRoundTripsThroughRandomWalks)
         ProtoState before = s;
         randomStep(model, s, rng, 3);
         const std::uint64_t key = s.encode(3);
-        if (!(s == before))
+        if (!(s == before)) {
             EXPECT_NE(key, before.encode(3)) << s.describe(3);
+        }
         prev = key;
     }
     (void)prev;

@@ -221,8 +221,9 @@ TEST(SuspicionSchedule, StallWindowsDeterministicOnSeparateStream)
         for (std::size_t i = 0; i < wb.size(); ++i) {
             EXPECT_EQ(wb[i], wc[i]);
             EXPECT_LT(wb[i].first, wb[i].second);
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_GE(wb[i].first, wb[i - 1].second);
+            }
         }
         any = any || !wb.empty();
         total += wb.size();

@@ -109,8 +109,9 @@ TEST_P(SystemTest, WriteThenReadSameHost)
     system_.access(0, 0, sharedRef(1, 2, MemOp::write), 0, 0xabcd);
     const AccessResult res =
         system_.access(0, 0, sharedRef(1, 2, MemOp::read), 100);
-    if (GetParam() != Scheme::localOnly)
+    if (GetParam() != Scheme::localOnly) {
         EXPECT_EQ(res.data, 0xabcdu);
+    }
 }
 
 TEST_P(SystemTest, WriteThenReadAcrossHosts)

@@ -334,8 +334,9 @@ TEST_F(TraceTest, GeneratorsAreDeterministicAndReplayable)
         auto trace = replay.makeTrace(0, 0, 1, 2, 0);
         for (int i = 0; i < 400; ++i) {
             const MemRef r = trace->next();
-            if (r.shared)
+            if (r.shared) {
                 ASSERT_LT(r.page, 256u) << model;
+            }
             ASSERT_LT(r.lineIdx, linesPerPage) << model;
         }
 
@@ -445,9 +446,10 @@ expectReplayIdentity(const SystemConfig &cfg, const RunConfig &run,
     EXPECT_EQ(fuzz::fingerprintResult(recorded),
               fuzz::fingerprintResult(replayed));
     EXPECT_EQ(recorded.workload, replayed.workload);
-    if (with_stats)
+    if (with_stats) {
         EXPECT_EQ(slurpText(stats_dir + "/record.json"),
                   slurpText(stats_dir + "/replay.json"));
+    }
 }
 
 TEST_F(TraceTest, RecordedRunReplaysBitIdentically)
