@@ -25,6 +25,7 @@
 #ifndef PIPM_CACHE_SET_ASSOC_HH
 #define PIPM_CACHE_SET_ASSOC_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -282,14 +283,50 @@ class SetAssoc
                   static_cast<std::uint8_t>(0));
     }
 
-    /** Number of valid entries (O(capacity); for stats/tests only). */
+    /**
+     * Number of valid entries: one SWAR pass over the tag strip (about
+     * capacity / 8 word steps; no per-entry counter is kept, so fills
+     * and invalidations stay as cheap as they are).
+     */
     std::uint64_t
     occupancy() const
     {
-        std::uint64_t n = 0;
-        for (std::uint8_t t : tags_)
-            n += t != 0;
-        return n;
+        return countValid(0, tags_.size());
+    }
+
+    /**
+     * Offer valid keys to `fn` in forEach slot order, rotated by `pick`,
+     * until `fn` accepts one (returns true). The k-th offer is valid key
+     * number `(pick + k) % occupancy()` in forEach order, with `pick + k`
+     * wrapping at 2^64 as unsigned arithmetic does: exactly the order of
+     * indexing a forEach-built vector at `(pick + k) % size`, without
+     * building it. `fn` must not modify the array.
+     * @return the accepted key, or nullopt when every key was rejected
+     */
+    template <typename Fn>
+    std::optional<std::uint64_t>
+    rotateFrom(std::uint64_t pick, Fn &&fn) const
+    {
+        const std::uint64_t n = occupancy();
+        std::size_t slot = 0;
+        std::uint64_t prev = 0;
+        for (std::uint64_t k = 0; k < n; ++k) {
+            const std::uint64_t idx = (pick + k) % n;
+            // Step to the next valid slot only when the index does; the
+            // wrap past n - 1 and the 2^64 wrap of pick + k (which
+            // restarts at index 0 from anywhere) seek afresh.
+            if (k == 0 || idx != prev + 1) {
+                slot = nthValid(idx);
+            } else {
+                do {
+                    ++slot;
+                } while (tags_[slot] == 0);
+            }
+            prev = idx;
+            if (fn(keys_[slot]))
+                return keys_[slot];
+        }
+        return std::nullopt;
     }
 
     unsigned sets() const { return sets_; }
@@ -369,6 +406,75 @@ class SetAssoc
             }
         }
         return npos;
+    }
+
+    /** Each byte's lowest bit: the lanes of the SWAR counts below. */
+    static constexpr std::uint64_t laneOnes = 0x0101010101010101ull;
+
+    /**
+     * Valid tags in slots [from, to). A resident tag always has bit 7
+     * set, so `(word >> 7) & laneOnes` is one per valid tag, summed in
+     * byte lanes and folded every 255 words, before a lane can
+     * overflow. No popcount: the build targets baseline x86-64.
+     */
+    std::uint64_t
+    countValid(std::size_t from, std::size_t to) const
+    {
+        const std::uint8_t *tags = tags_.data();
+        std::uint64_t n = 0;
+        std::size_t i = from;
+        while (to - i >= 8) {
+            const std::size_t words =
+                std::min<std::size_t>((to - i) / 8, 255);
+            std::uint64_t lanes = 0;
+            for (std::size_t w = 0; w < words; ++w)
+                lanes += (swarLoad(tags + i + 8 * w) >> 7) & laneOnes;
+            i += 8 * words;
+            // Byte lanes to 16-bit lanes, then one multiply sums them.
+            const std::uint64_t pairs =
+                (lanes & 0x00ff00ff00ff00ffull) +
+                ((lanes >> 8) & 0x00ff00ff00ff00ffull);
+            n += (pairs * 0x0001000100010001ull) >> 48;
+        }
+        for (; i < to; ++i)
+            n += tags[i] >> 7;
+        return n;
+    }
+
+    /**
+     * Slot of the n-th valid tag (0-based; n < occupancy()): skip whole
+     * 255-word blocks by their countValid, then words by one count per
+     * 8-tag word, then the tags of the word that holds it.
+     */
+    std::size_t
+    nthValid(std::uint64_t n) const
+    {
+        const std::uint8_t *tags = tags_.data();
+        const std::size_t end = tags_.size();
+        constexpr std::size_t blockTags = 255 * 8;
+        std::size_t i = 0;
+        for (;;) {
+            const std::size_t to = std::min(i + blockTags, end);
+            const std::uint64_t c = countValid(i, to);
+            if (n < c)
+                break;
+            n -= c;
+            i = to;
+        }
+        for (; end - i >= 8; i += 8) {
+            std::uint64_t m = swarLoad(tags + i) & (laneOnes << 7);
+            const std::uint64_t c = ((m >> 7) * laneOnes) >> 56;
+            if (n < c) {
+                for (; n > 0; --n)
+                    m &= m - 1;
+                return i + static_cast<std::size_t>(std::countr_zero(m)) / 8;
+            }
+            n -= c;
+        }
+        for (;; ++i) {
+            if (tags[i] != 0 && n-- == 0)
+                return i;
+        }
     }
 
     /** Index of a resident key's way slot, or npos. */

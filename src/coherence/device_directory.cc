@@ -96,6 +96,15 @@ DeviceDirectory::corruptEntry(LineAddr line, std::uint64_t bits,
     return true;
 }
 
+std::optional<LineAddr>
+DeviceDirectory::corruptFrom(std::uint64_t pick, std::uint64_t bits,
+                             bool shadow_hit)
+{
+    return entries_.rotateFrom(pick, [&](LineAddr line) {
+        return corruptEntry(line, bits, shadow_hit);
+    });
+}
+
 const DeviceDirectory::MetaCorruption *
 DeviceDirectory::corruptionOf(LineAddr line) const
 {

@@ -139,6 +139,18 @@ class DeviceDirectory
      */
     bool corruptEntry(LineAddr line, std::uint64_t bits, bool shadow_hit);
 
+    /**
+     * Quarantine the victim of one corruption event: the first tracked
+     * line, in the rotated order of SetAssoc::rotateFrom(pick), that is
+     * not quarantined already. Costs two tag-strip scans, not a copy of
+     * the directory.
+     * @return the quarantined line, or nullopt when every tracked line
+     *         (possibly none) is quarantined already
+     */
+    std::optional<LineAddr> corruptFrom(std::uint64_t pick,
+                                        std::uint64_t bits,
+                                        bool shadow_hit);
+
     /** Whether the entry for `line` is quarantined. */
     bool entryCorrupted(LineAddr line) const
     {

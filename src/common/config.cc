@@ -189,6 +189,15 @@ SystemConfig::validate() const
     fatal_if(localBytesPerHost() < pageBytes,
              "local DRAM per host smaller than one page");
     fatal_if(cxlPoolBytes() < pageBytes, "CXL pool smaller than one page");
+    // Host h's local DRAM starts at h x the scaled local size and the
+    // CXL pool after the last host, so that size must be whole pages:
+    // a fractional one (footprint scale 255 gives 32 GB / 255 =
+    // 32896.5 pages) starts the pool mid-page, and one page's lines
+    // then fall into two regions.
+    fatal_if(localBytesPerHost() % pageBytes != 0,
+             "scaled local DRAM per host must be a whole number of pages, "
+             "got ", localBytesPerHost(), " B (", localBytesPerHostFull,
+             " B / footprint scale ", footprintScale, ")");
     fatal_if(l1Scale == 0 || llcScale == 0, "cache scales must be positive");
     fatal_if(l1.ways == 0 || llcPerCore.ways == 0,
              "cache associativity must be positive");

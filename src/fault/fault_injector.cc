@@ -482,23 +482,20 @@ FaultInjector::poisonCheck(LineAddr line)
     if (cfg_.poisonRate <= 0.0)
         return PoisonState::clean;
     // Stateless per-line draw: independent of access order, so the same
-    // lines are poisoned regardless of which host finds them first.
-    PoisonState state = PoisonState::clean;
-    if (hashU01(seed_, line) < cfg_.poisonRate) {
-        if (hashU01(seed_ ^ 0x706f69736f6e2137ull, line) <
-            cfg_.persistentPoisonFrac) {
-            state = PoisonState::persistentPoison;
-            poisonPersistent.inc();
-        } else {
-            state = PoisonState::transientPoison;
-            poisonTransient.inc();
-        }
+    // lines are poisoned regardless of which host finds them first. A
+    // clean draw is not memoised: the next check draws clean again.
+    if (hashU01(seed_, line) >= cfg_.poisonRate)
+        return PoisonState::clean;
+    if (hashU01(seed_ ^ 0x706f69736f6e2137ull, line) <
+        cfg_.persistentPoisonFrac) {
+        poisonPersistent.inc();
+        poison_[line] = PoisonState::persistentPoison;
+        return PoisonState::persistentPoison;
     }
     // The ECC retry scrubs transient poison: later checks see clean.
-    poison_[line] = state == PoisonState::transientPoison
-                        ? PoisonState::clean
-                        : state;
-    return state;
+    poisonTransient.inc();
+    poison_[line] = PoisonState::clean;
+    return PoisonState::transientPoison;
 }
 
 bool

@@ -127,17 +127,15 @@ class FaultInjector
     // ---- Poisoned lines ------------------------------------------------
 
     /**
-     * Poison status of a CXL DRAM line at its first device read. The
-     * per-line draw is memoised: transient poison is scrubbed by the
-     * retry (later checks return clean), persistent poison is forever.
+     * Poison status of a CXL DRAM line at a device read. The per-line
+     * draw is stateless, so only a non-clean one is memoised: transient
+     * poison is scrubbed by the retry (later checks return clean),
+     * persistent poison is forever. A clean draw stores nothing.
      */
     PoisonState poisonCheck(LineAddr line);
 
     /** Whether a line has been discovered persistently poisoned. */
     bool linePersistentlyPoisoned(LineAddr line) const;
-
-    /** Pre-size the per-line poison memo (first-touch entries). */
-    void reservePoison(std::uint64_t lines) { poison_.reserve(lines); }
 
     /**
      * Force a line into the persistent-poison state. Used by the crash

@@ -347,6 +347,47 @@ PipmState::corruptLocalEntry(HostId h, PageFrame cxl_page,
     return true;
 }
 
+std::optional<std::pair<HostId, PageFrame>>
+PipmState::corruptLocalFrom(std::uint64_t pick, std::uint64_t bits,
+                            bool shadow_hit)
+{
+    std::uint64_t n = 0;
+    for (const auto &l : local_)
+        n += l.size();
+    std::vector<PageFrame> keys;   // the pages of host keys_of
+    unsigned keys_of = numHosts_;
+    bool sorted = false;
+    for (std::uint64_t k = 0; k < n; ++k) {
+        // Entry number (pick + k) % n as (host, rank within the host).
+        std::uint64_t rank = (pick + k) % n;
+        unsigned h = 0;
+        while (rank >= local_[h].size()) {
+            rank -= local_[h].size();
+            ++h;
+        }
+        if (h != keys_of) {
+            keys.clear();
+            for (const auto &[page, entry] : local_[h])
+                keys.push_back(page);
+            keys_of = h;
+            sorted = false;
+        }
+        const auto at = keys.begin() + static_cast<std::ptrdiff_t>(rank);
+        if (!sorted)
+            std::nth_element(keys.begin(), at, keys.end());
+        if (corruptLocalEntry(static_cast<HostId>(h), *at, bits,
+                              shadow_hit))
+            return std::pair{static_cast<HostId>(h), *at};
+        // Already quarantined (rare): sort this host's pages once, so
+        // its following ranks are direct reads.
+        if (!sorted) {
+            std::sort(keys.begin(), keys.end());
+            sorted = true;
+        }
+    }
+    return std::nullopt;
+}
+
 const PipmState::MetaCorruption *
 PipmState::corruptionOf(HostId h, PageFrame cxl_page) const
 {

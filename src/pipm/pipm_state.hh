@@ -21,6 +21,7 @@
 #define PIPM_PIPM_STATE_HH
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -252,6 +253,20 @@ class PipmState
      */
     bool corruptLocalEntry(HostId h, PageFrame cxl_page,
                            std::uint64_t bits, bool shadow_hit);
+
+    /**
+     * Quarantine the victim of one corruption event: the first local
+     * entry, in host-major page-ascending order rotated by `pick` (the
+     * k-th candidate is entry number `(pick + k) % count`, with `pick +
+     * k` wrapping at 2^64), that is not quarantined already. Selects
+     * each candidate from one host's unsorted keys instead of sorting
+     * every host's.
+     * @return the quarantined (host, page), or nullopt when every entry
+     *         (possibly none) is quarantined already
+     */
+    std::optional<std::pair<HostId, PageFrame>>
+    corruptLocalFrom(std::uint64_t pick, std::uint64_t bits,
+                     bool shadow_hit);
 
     /** Whether host h's entry for a page is quarantined. */
     bool localEntryCorrupted(HostId h, PageFrame cxl_page) const

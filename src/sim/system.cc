@@ -103,11 +103,6 @@ MultiHostSystem::MultiHostSystem(const SystemConfig &cfg, Scheme scheme,
         faults_ = std::make_unique<FaultInjector>(
             cfg.fault, cfg.numHosts,
             seed ^ (cfg.fault.seed * 0x9e3779b97f4a7c15ull));
-        if (cfg.fault.poisonRate > 0.0) {
-            // poisonCheck memoises every first-touched CXL line.
-            faults_->reservePoison(
-                std::min<std::uint64_t>(shared_lines, 1u << 15));
-        }
         pendingDirty_.resize(cfg.numHosts);
     }
     detection_ = faults_ && cfg.fault.leaseNs > 0.0;
@@ -1736,47 +1731,30 @@ MultiHostSystem::applyMetaCorruption(const MetaCorruptEvent &ev, Cycles now)
     // flip mask were drawn when the schedule was generated, so victim
     // selection never consumes RNG state shared with the other fault
     // streams; an event preferring a target class that has no eligible
-    // entry falls through to the other class.
-    auto try_dir = [&]() -> bool {
-        std::vector<LineAddr> lines;
-        deviceDir_.forEach([&](LineAddr line, const DirEntry &) {
-            lines.push_back(line);
-        });
-        for (std::size_t k = 0; k < lines.size(); ++k) {
-            const LineAddr line = lines[(ev.pick + k) % lines.size()];
-            if (!deviceDir_.corruptEntry(line, ev.bits, ev.shadowHit))
-                continue;   // already quarantined
-            faults_->metaCorruptions.inc();
-            traceEvent(ObsEventType::metaCorruption, now, line, invalidHost,
-                       ev.shadowHit ? 1 : 0);
-            return true;
-        }
-        return false;
+    // entry falls through to the other class. Both classes rotate from
+    // the pick without listing their entries (DESIGN.md §12).
+    using Victim = std::optional<std::pair<HostId, std::uint64_t>>;
+    auto try_dir = [&]() -> Victim {
+        if (const auto line =
+                deviceDir_.corruptFrom(ev.pick, ev.bits, ev.shadowHit))
+            return std::pair{invalidHost, *line};
+        return std::nullopt;
     };
-    auto try_remap = [&]() -> bool {
+    auto try_remap = [&]() -> Victim {
         if (!pipm_)
-            return false;
-        std::vector<std::pair<HostId, PageFrame>> entries;
-        for (unsigned s = 0; s < cfg_.numHosts; ++s) {
-            const auto sh = static_cast<HostId>(s);
-            for (const PageFrame p : pipm_->localEntries(sh).sortedKeys())
-                entries.emplace_back(sh, p);
-        }
-        for (std::size_t k = 0; k < entries.size(); ++k) {
-            const auto &[eh, ep] = entries[(ev.pick + k) % entries.size()];
-            if (!pipm_->corruptLocalEntry(eh, ep, ev.bits, ev.shadowHit))
-                continue;
-            faults_->metaCorruptions.inc();
-            traceEvent(ObsEventType::metaCorruption, now, ep, eh,
-                       ev.shadowHit ? 1 : 0);
-            return true;
-        }
-        return false;
+            return std::nullopt;
+        return pipm_->corruptLocalFrom(ev.pick, ev.bits, ev.shadowHit);
     };
-    const bool hit = ev.remapTarget ? (try_remap() || try_dir())
-                                    : (try_dir() || try_remap());
-    if (!hit)
+    Victim victim = ev.remapTarget ? try_remap() : try_dir();
+    if (!victim)
+        victim = ev.remapTarget ? try_dir() : try_remap();
+    if (!victim) {
         faults_->metaCorruptSkipped.inc();
+        return;
+    }
+    faults_->metaCorruptions.inc();
+    traceEvent(ObsEventType::metaCorruption, now, victim->second,
+               victim->first, ev.shadowHit ? 1 : 0);
 }
 
 void

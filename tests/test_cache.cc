@@ -9,6 +9,8 @@
 
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "cache/set_assoc.hh"
 #include "common/logging.hh"
@@ -299,6 +301,101 @@ TEST(SetAssoc, DefaultPayloadIsTheInsertedOneNotZeroBytes)
     cache.insert(1, Marked{});
     ASSERT_NE(cache.probe(1), nullptr);
     EXPECT_EQ(*cache.probe(1), Marked{});
+}
+
+/**
+ * The reference rotation: list the valid keys in forEach order, then
+ * offer `listed[(pick + k) % size]` (unsigned, so pick + k wraps at
+ * 2^64) until `accept` takes one. Returns every offered key.
+ */
+template <typename Accept>
+std::vector<std::uint64_t>
+listedRotation(const SetAssoc<Payload> &cache, std::uint64_t pick,
+               Accept accept)
+{
+    std::vector<std::uint64_t> listed;
+    cache.forEach([&](const SetAssoc<Payload>::Entry &e) {
+        listed.push_back(e.key);
+    });
+    std::vector<std::uint64_t> offered;
+    for (std::size_t k = 0; k < listed.size(); ++k) {
+        offered.push_back(listed[(pick + k) % listed.size()]);
+        if (accept(offered.back()))
+            break;
+    }
+    return offered;
+}
+
+TEST(SetAssoc, RotateFromMatchesTheListedRotation)
+{
+    // Geometries: tag strips shorter than one SWAR word, ways that are
+    // not a multiple of 8 (the per-byte tail), and strips longer than
+    // one 255-word counting block.
+    const std::pair<unsigned, unsigned> geometries[] = {
+        {1, 1}, {1, 3}, {2, 7}, {4, 8}, {8, 13}, {16, 16},
+        {64, 20}, {256, 13}, {1024, 16}};
+    Rng rng(23);
+    for (const auto &[sets, ways] : geometries) {
+        for (int trial = 0; trial < 12; ++trial) {
+            SetAssoc<Payload> cache(sets, ways);
+            const std::uint64_t cap = cache.capacity();
+            // Empty, full, and random fills with random holes.
+            std::uint64_t inserts = 0;
+            if (trial == 1)
+                inserts = 8 * cap;
+            else if (trial > 1)
+                inserts = rng.below(2 * cap + 1);
+            for (std::uint64_t i = 0; i < inserts; ++i)
+                cache.insertIfAbsent(rng.below(16 * cap + 16), Payload{});
+            if (trial > 3) {
+                const std::uint64_t drops = rng.below(cap + 1);
+                for (std::uint64_t i = 0; i < drops; ++i)
+                    cache.invalidate(rng.below(16 * cap + 16));
+            }
+            std::uint64_t n = 0;
+            cache.forEach([&](const SetAssoc<Payload>::Entry &) { ++n; });
+            ASSERT_EQ(cache.occupancy(), n);
+            if (trial == 1) {
+                ASSERT_EQ(n, cap);
+            }
+
+            for (int event = 0; event < 16; ++event) {
+                // Random picks, small picks, and picks within 2n of
+                // 2^64, so that pick + k wraps during the rotation.
+                std::uint64_t pick = rng.next();
+                if (event % 4 == 1)
+                    pick = rng.below(2 * n + 1);
+                else if (event % 4 >= 2)
+                    pick = ~std::uint64_t{0} - rng.below(2 * n + 1);
+                // fn rejects a random subset (quarantined entries):
+                // none, about half, almost all, or every key.
+                const double rates[] = {0.0, 0.5, 0.95, 1.0};
+                const double reject = rates[event % 4 == 2
+                                                ? 3
+                                                : rng.below(4)];
+                const std::uint64_t salt = rng.next();
+                auto accept = [&](std::uint64_t key) {
+                    Rng r(key ^ salt);
+                    return !r.chance(reject);
+                };
+                const auto want = listedRotation(cache, pick, accept);
+                std::vector<std::uint64_t> got;
+                const auto taken = cache.rotateFrom(
+                    pick, [&](std::uint64_t key) {
+                        got.push_back(key);
+                        return accept(key);
+                    });
+                ASSERT_EQ(got, want) << sets << "x" << ways << " pick "
+                                     << pick << " of " << n;
+                if (!want.empty() && accept(want.back())) {
+                    ASSERT_TRUE(taken.has_value());
+                    EXPECT_EQ(*taken, want.back());
+                } else {
+                    EXPECT_FALSE(taken.has_value());
+                }
+            }
+        }
+    }
 }
 
 TEST(Replacement, LruVictimIsSmallestStamp)

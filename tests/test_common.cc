@@ -434,6 +434,13 @@ TEST(Config, ValidateRejectsBadValues)
     cfg = testConfig();
     cfg.pipm.migrationThreshold = 64;   // does not fit 6-bit counter
     EXPECT_THROW(cfg.validate(), SimError);
+    // A scale that leaves a fraction of a page per host would start the
+    // CXL pool mid-page; whole pages at any scale are fine.
+    cfg = testConfig();
+    cfg.footprintScale = 255;
+    EXPECT_THROW(cfg.validate(), SimError);
+    cfg.localBytesPerHostFull = 255 * 64 * pageBytes;
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(Config, ScaledEpochAndCosts)

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "fault/fault_injector.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
@@ -342,6 +344,103 @@ TEST(FaultPoison, TransientPoisonIsScrubbedByOneRetry)
         sys.access(0, 0, sharedRef(2, 4, MemOp::read), 10'000);
     EXPECT_EQ(r.data, 42u);
     sys.checkInvariants();
+}
+
+/**
+ * The poison memo as it was when every check was memoised: the first
+ * check of a line takes the stateless draw, stores it (transient as
+ * clean, since the retry scrubs it), and every later check returns the
+ * stored state. The draw comes from a second injector with the same
+ * seed, asked about each line at most once, so its own memo never
+ * answers.
+ */
+class FullPoisonMemo
+{
+  public:
+    FullPoisonMemo(const FaultConfig &cfg, std::uint64_t seed)
+        : draw_(cfg, 4, seed)
+    {
+    }
+
+    PoisonState
+    check(LineAddr line)
+    {
+        if (const auto it = memo_.find(line); it != memo_.end())
+            return it->second;
+        const PoisonState s = draw_.poisonCheck(line);
+        transient += s == PoisonState::transientPoison;
+        persistent += s == PoisonState::persistentPoison;
+        memo_[line] =
+            s == PoisonState::transientPoison ? PoisonState::clean : s;
+        return s;
+    }
+
+    bool
+    persistentlyPoisoned(LineAddr line) const
+    {
+        const auto it = memo_.find(line);
+        return it != memo_.end() &&
+               it->second == PoisonState::persistentPoison;
+    }
+
+    void
+    poisonForever(LineAddr line)
+    {
+        if (persistentlyPoisoned(line))
+            return;
+        memo_[line] = PoisonState::persistentPoison;
+        ++persistent;
+    }
+
+    std::uint64_t transient = 0;
+    std::uint64_t persistent = 0;
+
+  private:
+    FaultInjector draw_;
+    std::map<LineAddr, PoisonState> memo_;
+};
+
+TEST(FaultPoison, MemoOfNonCleanDrawsMatchesAFullMemo)
+{
+    struct Case
+    {
+        double rate;
+        double persistentFrac;
+        std::uint64_t lines;   ///< line universe (small: lines recur)
+    };
+    const Case cases[] = {
+        {0.0, 0.5, 256},     // only lines forced by poisonLineForever
+        {1e-4, 0.5, 1u << 16},
+        {0.3, 0.5, 512},
+        {0.9, 0.2, 64},      // mostly transient lines, checked again
+        {1.0, 0.0, 32},      // every line transient once, then clean
+    };
+    Rng rng(29);
+    for (const Case &c : cases) {
+        FaultConfig f = quietFaults(7);
+        f.poisonRate = c.rate;
+        f.persistentPoisonFrac = c.persistentFrac;
+        const std::uint64_t seed = rng.next();
+        FaultInjector inj(f, 4, seed);
+        FullPoisonMemo ref(f, seed);
+        for (int op = 0; op < 20'000; ++op) {
+            const LineAddr line = rng.below(c.lines);
+            const std::uint64_t kind = rng.below(10);
+            if (kind < 7) {
+                ASSERT_EQ(inj.poisonCheck(line), ref.check(line))
+                    << "rate " << c.rate << " op " << op;
+            } else if (kind < 8) {
+                inj.poisonLineForever(line);
+                ref.poisonForever(line);
+            } else {
+                ASSERT_EQ(inj.linePersistentlyPoisoned(line),
+                          ref.persistentlyPoisoned(line))
+                    << "rate " << c.rate << " op " << op;
+            }
+        }
+        EXPECT_EQ(inj.poisonTransient.value(), ref.transient) << c.rate;
+        EXPECT_EQ(inj.poisonPersistent.value(), ref.persistent) << c.rate;
+    }
 }
 
 TEST(FaultMigration, PromotionAbortRollsBackCleanly)

@@ -14,11 +14,15 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "coherence/device_directory.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "fault/fault_injector.hh"
 #include "fuzz/fuzz.hh"
 #include "os/address_space.hh"
@@ -372,6 +376,137 @@ TEST(MetaQuarantine, RemapEntriesQuarantineBesidePristineState)
     state.crashReclaimPage(1, 5);
     EXPECT_FALSE(state.localEntryCorrupted(1, 5));
     EXPECT_EQ(state.corruptedCount(), 0u);
+}
+
+/**
+ * A corruption event's pick: random, small, or near 2^64, so that
+ * pick + k wraps within the run of quarantined candidates a rotation
+ * skips (2^64 - 1 - j wraps at k = j + 1).
+ */
+std::uint64_t
+victimPick(Rng &rng, std::size_t event, std::uint64_t n)
+{
+    switch (event % 4) {
+      case 0:
+        return rng.next();
+      case 1:
+        return rng.below(2 * n + 1);
+      case 2:
+        return ~std::uint64_t{0} - rng.below(8);
+      default:
+        return ~std::uint64_t{0} - rng.below(2 * n + 1);
+    }
+}
+
+/**
+ * Rounds of corruption events. Each round lifts every quarantine,
+ * quarantines about 85% of the candidates (long rejected runs), then
+ * runs events until every candidate is quarantined. Each event's
+ * victim must be the reference's: the first candidate of the listed
+ * order, indexed at `(pick + k) % size` with unsigned wrap, that is not
+ * quarantined yet.
+ */
+template <typename Candidate, typename CorruptFrom, typename Quarantine,
+          typename Quarantined>
+void
+expectListedRotation(const std::vector<Candidate> &listed, Rng &rng,
+                     CorruptFrom corrupt_from, Quarantine quarantine,
+                     Quarantined quarantined)
+{
+    const std::uint64_t n = listed.size();
+    for (int round = 0; round < 8; ++round) {
+        for (const Candidate &c : listed)
+            quarantine(c, rng.chance(0.85));
+        for (std::size_t event = 0;; ++event) {
+            const std::uint64_t pick = victimPick(rng, event, n);
+            std::optional<Candidate> want;
+            for (std::uint64_t k = 0; k < n && !want; ++k) {
+                const Candidate &c = listed[(pick + k) % n];
+                if (!quarantined(c))
+                    want = c;
+            }
+            const std::optional<Candidate> got = corrupt_from(pick);
+            ASSERT_EQ(got, want)
+                << "round " << round << " event " << event << " pick "
+                << pick;
+            if (!want)
+                break;
+            EXPECT_TRUE(quarantined(*got));
+        }
+    }
+}
+
+TEST(MetaVictim, DirectoryRotationMatchesTheListedOrder)
+{
+    SystemConfig cfg = testConfig();
+    DeviceDirectory dir(cfg.deviceDirectory);
+    Rng rng(5);
+    for (int i = 0; i < 3000; ++i) {
+        const LineAddr line = rng.below(1u << 16);
+        if (!dir.probe(line))
+            dir.allocate(line, DirEntry{});
+    }
+    std::vector<LineAddr> listed;
+    dir.forEach([&](LineAddr line, const DirEntry &) {
+        listed.push_back(line);
+    });
+    ASSERT_GT(listed.size(), 2000u);
+    expectListedRotation(
+        listed, rng,
+        [&](std::uint64_t pick) {
+            return dir.corruptFrom(pick, 0x10, pick & 1);
+        },
+        [&](LineAddr line, bool on) {
+            dir.clearCorruption(line);
+            if (on)
+                dir.corruptEntry(line, 0x1, false);
+        },
+        [&](LineAddr line) { return dir.entryCorrupted(line); });
+}
+
+TEST(MetaVictim, RemapRotationMatchesTheSortedHostConcatenation)
+{
+    SystemConfig cfg = testConfig();
+    cfg.numHosts = 4;
+    AddressSpace space(cfg, 512 * pageBytes, 8 * pageBytes);
+    PipmState state(cfg.pipm, cfg.numHosts, PipmMode::vote, space);
+    state.reservePages(512, 0);
+    Rng rng(11);
+    // Promote random pages to hosts 0, 1 and 3: host 2 stays empty, so
+    // the rank-to-host walk has an empty host to skip.
+    for (PageFrame page = 0; page < 512; ++page) {
+        if (!rng.chance(0.5))
+            continue;
+        auto h = static_cast<HostId>(rng.below(3));
+        if (h == 2)
+            h = 3;
+        for (unsigned i = 0; i < cfg.pipm.migrationThreshold; ++i)
+            state.deviceAccess(page, h);
+    }
+    // The order the rotation must follow: each host's pages ascending,
+    // host-major (the per-host sortedKeys() concatenation).
+    using Entry = std::pair<HostId, PageFrame>;
+    std::vector<Entry> listed;
+    for (unsigned s = 0; s < cfg.numHosts; ++s) {
+        const auto h = static_cast<HostId>(s);
+        for (const PageFrame page : state.localEntries(h).sortedKeys())
+            listed.emplace_back(h, page);
+    }
+    ASSERT_GT(listed.size(), 150u);
+    ASSERT_TRUE(state.localEntries(2).empty());
+    expectListedRotation(
+        listed, rng,
+        [&](std::uint64_t pick) {
+            return state.corruptLocalFrom(pick, 0x10, pick & 1);
+        },
+        [&](const Entry &e, bool on) {
+            state.clearCorruption(e.first, e.second);
+            if (on)
+                state.corruptLocalEntry(e.first, e.second, 0x1, false);
+        },
+        [&](const Entry &e) {
+            return state.localEntryCorrupted(e.first, e.second);
+        });
 }
 
 TEST(MetaSchedules, RandomisedCheckingExercisesAllResolutionPaths)
