@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -73,14 +72,6 @@ usage(std::ostream &os)
           "into the sampled workload population (trace:<path>).\n";
 }
 
-/** Scoped detail::throwOnError so fatal()/panic() raise SimError. */
-struct ThrowGuard
-{
-    bool saved = detail::throwOnError;
-    ThrowGuard() { detail::throwOnError = true; }
-    ~ThrowGuard() { detail::throwOnError = saved; }
-};
-
 /** A process-unique temp path for one bench-cache file. */
 std::string
 tempCachePath()
@@ -89,15 +80,6 @@ tempCachePath()
     std::ostringstream name;
     name << "pipm_fuzz_cache_" << ::getpid() << "_" << ++counter << ".tsv";
     return (std::filesystem::temp_directory_path() / name.str()).string();
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 /**
@@ -110,7 +92,7 @@ slurp(const std::string &path)
 OracleResult
 checkJobs(const FuzzCase &c)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     std::string contents[2];
     try {
         const auto wl = caseWorkload(c);
@@ -167,17 +149,27 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&]() {
+            const char *text = value();
+            const auto n = parseU64(text);
+            if (!n) {
+                std::cerr << "fuzz_run: " << arg << " needs an unsigned "
+                          << "decimal number, got '" << text << "'\n";
+                std::exit(2);
+            }
+            return *n;
+        };
         if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
         } else if (arg == "--seeds") {
-            seeds = std::strtoull(value(), nullptr, 10);
+            seeds = number();
         } else if (arg == "--seed0") {
-            seed0 = std::strtoull(value(), nullptr, 10);
+            seed0 = number();
         } else if (arg == "--refs") {
-            refs = std::strtoull(value(), nullptr, 10);
+            refs = number();
         } else if (arg == "--time-budget") {
-            budget_sec = std::strtoull(value(), nullptr, 10);
+            budget_sec = number();
         } else if (arg == "--oracle") {
             oracle_names = value();
         } else if (arg == "--out") {

@@ -26,6 +26,7 @@
 #include <unistd.h>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "fuzz/fuzz.hh"
@@ -114,11 +115,10 @@ struct Args
     num(const std::string &flag)
     {
         const std::string v = value(flag);
-        char *end = nullptr;
-        const std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-        if (!end || *end)
+        const auto n = parseU64(v);
+        if (!n)
             badArgs("bad number '" + v + "' for " + flag);
-        return n;
+        return *n;
     }
 
     double

@@ -22,8 +22,6 @@
  *   PIPM_VERIFY_ACCESSES   accesses per schedule (domain default)
  */
 
-#include <cctype>
-#include <cstdlib>
 #include <iostream>
 #include <string_view>
 #include <vector>
@@ -181,8 +179,8 @@ main(int argc, char **argv)
             required.push_back(f);
             continue;
         }
-        if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
-            seed = std::strtoull(argv[i], nullptr, 10);
+        if (const auto n = parseU64(arg)) {
+            seed = *n;
             continue;
         }
         return fail("unknown argument", arg);

@@ -20,26 +20,6 @@ namespace
 
 using namespace pipm;
 
-class NoTraces : public Workload
-{
-  public:
-    std::string name() const override { return "explorer"; }
-    std::string suite() const override { return "example"; }
-    std::uint64_t footprintBytes() const override { return 1 << 20; }
-    std::uint64_t sharedBytes() const override { return 256 * pageBytes; }
-    std::uint64_t privateBytesPerHost() const override
-    {
-        return 16 * pageBytes;
-    }
-    std::string fingerprint() const override { return "explorer"; }
-    std::unique_ptr<CoreTrace>
-    makeTrace(HostId, CoreId, unsigned, unsigned,
-              std::uint64_t) const override
-    {
-        return nullptr;
-    }
-};
-
 MemRef
 ref(std::uint64_t page, unsigned line, MemOp op)
 {
@@ -61,7 +41,7 @@ main()
     SystemConfig cfg = testConfig();
     cfg.numHosts = 2;
     cfg.trackValues = true;   // the walk-through prints data tokens
-    NoTraces workload;
+    FootprintWorkload workload(256 * pageBytes, 16 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, workload, 1);
     PipmState &pipm = *sys.pipmState();
 

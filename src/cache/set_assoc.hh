@@ -167,36 +167,9 @@ class SetAssoc
     }
 
     /**
-     * Single-scan fill: return the resident entry after an onHit touch,
-     * or insert the key (evicting if the set is full). Equivalent to
-     * `lookup(key)` followed by `insert` on miss, in one way scan.
-     * @param evicted receives the displaced entry, if any
-     * @return the resident Meta, or nullptr when the key was inserted
-     */
-    Meta *
-    fetchOrInsert(std::uint64_t key, Meta meta,
-                  std::optional<Entry> &evicted)
-    {
-        const std::uint64_t h = hashOf(key);
-        const std::size_t base = baseOf(h);
-        const std::uint8_t fp = fpOf(h);
-        std::size_t free_way;
-        const std::size_t i = scanSet(base, fp, key, free_way);
-        if (i != npos) {
-            replWords_[i] = repl_.onHit(replWords_[i], ++useClock_);
-            return &meta_[i];
-        }
-        if (free_way != npos)
-            fill(base + free_way, fp, key, std::move(meta));
-        else
-            evicted = evictAndFill(base, fp, key, std::move(meta));
-        return nullptr;
-    }
-
-    /**
-     * Single-scan acquire: like fetchOrInsert, but the returned pointer
-     * is always valid — the resident entry after an onHit touch, or the
-     * freshly inserted one. `resident` tells the caller which happened.
+     * Single-scan acquire: the resident entry after an onHit touch, or
+     * the freshly inserted one (evicting if the set is full), in one way
+     * scan. `resident` tells the caller which happened.
      * @param evicted receives the displaced entry, if any
      */
     Meta *

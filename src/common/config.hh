@@ -416,13 +416,6 @@ struct SystemConfig
         return cxlPoolBytesFull / footprintScale;
     }
 
-    /** Total shared-LLC capacity of one host. */
-    std::uint64_t
-    llcBytesPerHost() const
-    {
-        return llcPerCore.sizeBytes * coresPerHost;
-    }
-
     /**
      * OS migration epoch in core cycles after time scaling. Clamped to
      * >= 1: a large timeScale can round the scaled interval down to 0,

@@ -14,8 +14,9 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -23,9 +24,24 @@ namespace pipm
 {
 
 /**
+ * `text` as a whole unsigned decimal number, or nullopt: "", "20k",
+ * "yes", "-1" and values past 2^64-1 are rejected rather than read as
+ * 20, 0 or 2^64-1. The one number rule of env knobs and CLI arguments.
+ */
+inline std::optional<std::uint64_t>
+parseU64(std::string_view text)
+{
+    const char *end = text.data() + text.size();
+    std::uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
+}
+
+/**
  * Numeric env override; unset/empty returns `fallback`. Any other value
- * must be a whole unsigned decimal number: "20k", "yes" or "-1" is
- * fatal, rather than silently read as 20, 0 or 2^64-1.
+ * must pass parseU64, or the run is fatal.
  */
 inline std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
@@ -33,12 +49,10 @@ envU64(const char *name, std::uint64_t fallback)
     const char *env = std::getenv(name);
     if (!env || *env == '\0')
         return fallback;
-    const char *end = env + std::strlen(env);
-    std::uint64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(env, end, value);
-    if (ec != std::errc() || ptr != end)
+    const auto value = parseU64(env);
+    if (!value)
         fatal(name, "='", env, "' is not an unsigned decimal number");
-    return value;
+    return *value;
 }
 
 /** String env override; unset/empty returns `fallback`. */

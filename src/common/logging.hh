@@ -33,15 +33,37 @@ concat(Args &&...args)
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
-/** Test hook: when set, panic/fatal throw instead of aborting. */
+/** When set, panic/fatal throw instead of aborting (see
+ *  ThrowOnErrorScope). */
 extern bool throwOnError;
 
 } // namespace detail
 
-/** Thrown instead of aborting when detail::throwOnError is set (tests). */
+/** Thrown instead of aborting inside a ThrowOnErrorScope. */
 struct SimError
 {
     std::string message;
+};
+
+/**
+ * While alive, panic()/fatal() throw SimError instead of exiting. The
+ * destructor restores the previous setting, so scopes nest and an early
+ * return or a failed test assertion cannot leak the flag.
+ */
+class ThrowOnErrorScope
+{
+  public:
+    ThrowOnErrorScope() : saved_(detail::throwOnError)
+    {
+        detail::throwOnError = true;
+    }
+    ~ThrowOnErrorScope() { detail::throwOnError = saved_; }
+
+    ThrowOnErrorScope(const ThrowOnErrorScope &) = delete;
+    ThrowOnErrorScope &operator=(const ThrowOnErrorScope &) = delete;
+
+  private:
+    bool saved_;
 };
 
 /** Call for conditions that indicate a simulator bug. Never returns. */

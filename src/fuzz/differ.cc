@@ -4,10 +4,10 @@
  *
  * Each oracle runs one sampled case under two independent
  * implementations of the same contract (or one implementation plus a
- * validator) and reports the first divergence. Every run happens under
- * the detail::throwOnError hook, so a panic()/fatal() inside the
- * simulator surfaces as an oracle failure carrying the message instead
- * of aborting the fuzz loop.
+ * validator) and reports the first divergence. Every run happens in a
+ * ThrowOnErrorScope, so a panic()/fatal() inside the simulator surfaces
+ * as an oracle failure carrying the message instead of aborting the
+ * fuzz loop.
  */
 
 #include "fuzz/fuzz.hh"
@@ -31,14 +31,6 @@ namespace fuzz
 
 namespace
 {
-
-/** Scoped detail::throwOnError so fatal()/panic() raise SimError. */
-struct ThrowGuard
-{
-    bool saved = detail::throwOnError;
-    ThrowGuard() { detail::throwOnError = true; }
-    ~ThrowGuard() { detail::throwOnError = saved; }
-};
 
 /** First line present in `a` but differing from `b` (both are
  *  fingerprintResult outputs with identical line structure). */
@@ -70,20 +62,10 @@ tempStatsPath()
     return (std::filesystem::temp_directory_path() / name.str()).string();
 }
 
-/** Slurp a file ("" when unreadable). */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
 OracleResult
 checkSched(const FuzzCase &c)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     try {
         RunConfig heap = runConfigFor(c);
         heap.scheduler = "heap";
@@ -109,7 +91,7 @@ OracleResult
 sameFingerprint(const std::string &what, const FuzzCase &a,
                 const FuzzCase &b)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     try {
         const std::string fa =
             fingerprintResult(runCase(a, runConfigFor(a)));
@@ -154,7 +136,7 @@ checkValues(const FuzzCase &c)
 OracleResult
 checkInvariantsSweep(const FuzzCase &c)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     try {
         RunConfig run = runConfigFor(c);
         // The sweep is O(pool lines x hosts), so its cadence must scale
@@ -174,7 +156,7 @@ checkInvariantsSweep(const FuzzCase &c)
 OracleResult
 checkStatsJson(const FuzzCase &c)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     const std::string path_a = tempStatsPath();
     const std::string path_b = tempStatsPath();
     OracleResult res;
@@ -241,6 +223,15 @@ fingerprintResult(const RunResult &r)
         else if (f.f64)
             os << f.name << '=' << r.*f.f64 << '\n';
     }
+    return os.str();
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
     return os.str();
 }
 

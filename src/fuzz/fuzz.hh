@@ -96,6 +96,9 @@ std::string caseSignature(const FuzzCase &c);
  *  oracles compare these and report the first differing field. */
 std::string fingerprintResult(const RunResult &r);
 
+/** A file's bytes ("" when unreadable); the oracles compare exports. */
+std::string slurp(const std::string &path);
+
 /**
  * Build the case's workload: a Table 1 synthetic with any multi-line
  * overrides applied, or a TraceFileWorkload for "trace:<path>" names.

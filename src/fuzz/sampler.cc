@@ -33,6 +33,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "os/address_space.hh"
 #include "workloads/catalog.hh"
 #include "workloads/synthetic.hh"
 #include "workloads/trace_file.hh"
@@ -81,14 +82,6 @@ patternFor(const std::string &name)
     }
     return nullptr;
 }
-
-/** Scoped detail::throwOnError so fatal()/panic() raise SimError. */
-struct ThrowGuard
-{
-    bool saved = detail::throwOnError;
-    ThrowGuard() { detail::throwOnError = true; }
-    ~ThrowGuard() { detail::throwOnError = saved; }
-};
 
 /** The path behind a "trace:<path>" workload name ("" otherwise). */
 std::string
@@ -447,7 +440,7 @@ repairCase(FuzzCase &c)
         // synthetic so repair always yields a runnable case.
         c.hotLinesPerPage = 0;
         c.seqRunLines = 0;
-        ThrowGuard guard;
+        ThrowOnErrorScope guard;
         try {
             const TraceReader reader(trace_path);
             const TraceMeta &m = reader.meta();
@@ -600,10 +593,9 @@ repairFaults(SystemConfig &cfg)
 bool
 caseValid(const FuzzCase &c, std::string *why)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     try {
         c.cfg.validate();
-        // Mirror the AddressSpace fit checks the run would hit.
         const auto wl = caseWorkload(c);
         if (const auto *tf = dynamic_cast<const TraceFileWorkload *>(wl.get()))
             fatal_if(c.cfg.numHosts > tf->recordedHosts() ||
@@ -611,17 +603,8 @@ caseValid(const FuzzCase &c, std::string *why)
                      "trace was recorded for ", tf->recordedHosts(), "x",
                      tf->recordedCoresPerHost(), " cores; case asks for ",
                      c.cfg.numHosts, "x", c.cfg.coresPerHost);
-        const std::uint64_t shared_pages = wl->sharedBytes() / pageBytes;
-        const std::uint64_t private_pages =
-            wl->privateBytesPerHost() / pageBytes;
-        const std::uint64_t local_pages =
-            c.cfg.localBytesPerHost() / pageBytes;
-        fatal_if(private_pages >= local_pages,
-                 "private data (", private_pages, " pages) does not fit in ",
-                 local_pages, " local pages");
-        fatal_if(shared_pages > c.cfg.cxlPoolBytes() / pageBytes,
-                 "shared heap (", shared_pages,
-                 " pages) does not fit in the CXL pool");
+        AddressSpace::checkFits(c.cfg, wl->sharedBytes(),
+                                wl->privateBytesPerHost());
         fatal_if(c.measureRefs == 0, "measureRefs must be positive");
     } catch (const SimError &e) {
         if (why)

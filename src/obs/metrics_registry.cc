@@ -18,9 +18,9 @@ MetricsRegistry::addGroup(const StatGroup &group, const std::string &prefix)
         schema_.averages.push_back(base + name);
         averages_.push_back({&a});
     });
-    // Histograms are exported once at end of run (via StatGroup::dump and
-    // the totals section), not per interval: their per-interval delta is
-    // rarely meaningful and would multiply the schema size.
+    // Histograms are not registered: only StatGroup::dump prints them.
+    // A per-interval histogram delta is rarely meaningful and would
+    // multiply the schema size.
 }
 
 void

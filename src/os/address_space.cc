@@ -3,6 +3,31 @@
 namespace pipm
 {
 
+namespace
+{
+
+std::uint64_t
+pagesFor(std::uint64_t bytes)
+{
+    return (bytes + pageBytes - 1) / pageBytes;
+}
+
+} // namespace
+
+void
+AddressSpace::checkFits(const SystemConfig &cfg, std::uint64_t shared_bytes,
+                        std::uint64_t private_bytes_per_host)
+{
+    const std::uint64_t private_pages = pagesFor(private_bytes_per_host);
+    const std::uint64_t local_pages = cfg.localBytesPerHost() / pageBytes;
+    fatal_if(private_pages >= local_pages,
+             "private data (", private_pages, " pages) does not fit in ",
+             local_pages, " local pages");
+    fatal_if(pagesFor(shared_bytes) > cfg.cxlPoolBytes() / pageBytes,
+             "shared heap (", pagesFor(shared_bytes),
+             " pages) does not fit in the CXL pool");
+}
+
 AddressSpace::AddressSpace(const SystemConfig &cfg,
                            std::uint64_t shared_bytes,
                            std::uint64_t private_bytes_per_host)
@@ -10,18 +35,10 @@ AddressSpace::AddressSpace(const SystemConfig &cfg,
       privateBytes_(private_bytes_per_host),
       cxlAlloc_(pageOf(cfg.cxlBase()), cfg.cxlPoolBytes() / pageBytes)
 {
-    const std::uint64_t shared_pages =
-        (shared_bytes + pageBytes - 1) / pageBytes;
-    const std::uint64_t private_pages =
-        (private_bytes_per_host + pageBytes - 1) / pageBytes;
+    checkFits(cfg, shared_bytes, private_bytes_per_host);
+    const std::uint64_t shared_pages = pagesFor(shared_bytes);
+    const std::uint64_t private_pages = pagesFor(private_bytes_per_host);
     const std::uint64_t local_pages = cfg.localBytesPerHost() / pageBytes;
-
-    fatal_if(private_pages >= local_pages,
-             "private data (", private_pages, " pages) does not fit in ",
-             local_pages, " local pages");
-    fatal_if(shared_pages > cfg.cxlPoolBytes() / pageBytes,
-             "shared heap (", shared_pages,
-             " pages) does not fit in the CXL pool");
 
     // Private regions occupy the first private_pages frames of each host's
     // local range; the remainder feeds the per-host migration allocator.

@@ -100,6 +100,15 @@ class AddressSpace
     AddressSpace(const SystemConfig &cfg, std::uint64_t shared_bytes,
                  std::uint64_t private_bytes_per_host);
 
+    /**
+     * fatal() unless the shared heap fits the CXL pool and the private
+     * data leaves local frames free, each rounded up to whole pages. The
+     * constructor applies it; fuzz::caseValid checks a case with it
+     * before any run.
+     */
+    static void checkFits(const SystemConfig &cfg, std::uint64_t shared_bytes,
+                          std::uint64_t private_bytes_per_host);
+
     /** Number of shared heap pages. */
     std::uint64_t sharedPages() const { return shared_.size(); }
 

@@ -34,8 +34,6 @@ PipmState::PipmState(const PipmConfig &cfg, unsigned num_hosts,
                       "lines migrated back to CXL memory");
     stats_.addCounter(&allocFailures, "alloc_failures",
                       "promotions skipped for lack of local frames");
-    stats_.addHistogram(&revocationLines, "revocation_lines",
-                        "migrated-line count of each revoked page");
 }
 
 HostId
@@ -253,7 +251,6 @@ PipmState::revoke(HostId h, PageFrame cxl_page)
     const std::uint64_t bitmap = it->second.lineBitmap;
     linesOn_[h] -= static_cast<std::uint64_t>(std::popcount(bitmap));
     linesBack.inc(static_cast<std::uint64_t>(std::popcount(bitmap)));
-    revocationLines.sample(static_cast<std::uint64_t>(std::popcount(bitmap)));
     space_.freePipmFrame(h, it->second.localPfn);
     local_[h].erase(it);
     journalDrop(h, cxl_page);

@@ -314,9 +314,6 @@ class PipmState
     Counter linesIn;        ///< lines incrementally migrated to local DRAM
     Counter linesBack;      ///< lines migrated back to CXL memory
     Counter allocFailures;  ///< promotions skipped: no local frame free
-    /** Lines migrated at revocation time: how partial the partial
-     *  migrations were when revoked (0..64 per 4 KB page). */
-    Histogram revocationLines{8, 9};
 
   private:
     /** Majority-vote update; returns true when the threshold fires. */

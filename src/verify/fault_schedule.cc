@@ -12,39 +12,6 @@
 namespace pipm
 {
 
-namespace
-{
-
-/** Footprint-only workload; the checker drives accesses directly. */
-class DirectWorkload : public Workload
-{
-  public:
-    DirectWorkload(std::uint64_t shared_bytes, std::uint64_t private_bytes)
-        : shared_(shared_bytes), private_(private_bytes)
-    {
-    }
-
-    std::string name() const override { return "fault-check"; }
-    std::string suite() const override { return "verify"; }
-    std::uint64_t footprintBytes() const override { return shared_; }
-    std::uint64_t sharedBytes() const override { return shared_; }
-    std::uint64_t privateBytesPerHost() const override { return private_; }
-    std::string fingerprint() const override { return "fault-check"; }
-
-    std::unique_ptr<CoreTrace>
-    makeTrace(HostId, CoreId, unsigned, unsigned,
-              std::uint64_t) const override
-    {
-        panic("DirectWorkload has no traces; the checker drives directly");
-    }
-
-  private:
-    std::uint64_t shared_;
-    std::uint64_t private_;
-};
-
-} // namespace
-
 FaultCheckResult
 checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
                     unsigned schedules,
@@ -56,8 +23,7 @@ checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
     res.schedules = schedules;
 
     constexpr std::uint64_t shared_pages = 48;
-    const bool prev_throw = detail::throwOnError;
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
 
     for (unsigned sched = 0; sched < schedules && res.violation.empty();
          ++sched) {
@@ -65,7 +31,7 @@ checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
         fcfg.fault.seed = seed + 977 * (sched + 1);
         // The last-writer oracle below reads values back.
         fcfg.trackValues = true;
-        DirectWorkload workload(shared_pages * pageBytes, 4 * pageBytes);
+        FootprintWorkload workload(shared_pages * pageBytes, 4 * pageBytes);
         Rng rng(seed * 0x51ed2701 + sched);
 
         try {
@@ -173,7 +139,6 @@ checkFaultSchedules(const SystemConfig &cfg, Scheme scheme,
         }
     }
 
-    detail::throwOnError = prev_throw;
     res.ok = res.violation.empty();
     return res;
 }

@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace pipm
@@ -86,6 +87,40 @@ class Workload
     virtual std::unique_ptr<CoreTrace>
     makeTrace(HostId host, CoreId core, unsigned cores_per_host,
               unsigned num_hosts, std::uint64_t seed) const = 0;
+};
+
+/**
+ * A footprint-only workload for code that drives MultiHostSystem::access()
+ * itself (tests, the fault-schedule checker, examples): it sizes the
+ * shared heap and the private regions and has no traces. Its name and
+ * fingerprint are fixed, since nothing on those paths reads them.
+ */
+class FootprintWorkload : public Workload
+{
+  public:
+    FootprintWorkload(std::uint64_t shared_bytes,
+                      std::uint64_t private_bytes_per_host)
+        : shared_(shared_bytes), private_(private_bytes_per_host)
+    {
+    }
+
+    std::string name() const override { return "footprint"; }
+    std::string suite() const override { return "direct"; }
+    std::uint64_t footprintBytes() const override { return shared_; }
+    std::uint64_t sharedBytes() const override { return shared_; }
+    std::uint64_t privateBytesPerHost() const override { return private_; }
+    std::string fingerprint() const override { return "footprint"; }
+
+    std::unique_ptr<CoreTrace>
+    makeTrace(HostId, CoreId, unsigned, unsigned,
+              std::uint64_t) const override
+    {
+        panic("FootprintWorkload has no traces; drive the system directly");
+    }
+
+  private:
+    std::uint64_t shared_;
+    std::uint64_t private_;
 };
 
 } // namespace pipm

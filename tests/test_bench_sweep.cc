@@ -19,21 +19,13 @@
 #include "bench_common.hh"
 #include "fuzz/fuzz.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace
 {
 
 using namespace pipm;
 using namespace pipmbench;
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 /** Short-run options writing to a private cache file. */
 Options

@@ -12,64 +12,21 @@
 #include "common/rng.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
 
-class StubWorkload : public Workload
-{
-  public:
-    StubWorkload(std::uint64_t shared_bytes, std::uint64_t private_bytes)
-        : shared_(shared_bytes), private_(private_bytes)
-    {
-    }
-
-    std::string name() const override { return "stub"; }
-    std::string suite() const override { return "test"; }
-    std::uint64_t footprintBytes() const override { return shared_; }
-    std::uint64_t sharedBytes() const override { return shared_; }
-    std::uint64_t privateBytesPerHost() const override { return private_; }
-    std::string fingerprint() const override { return "stub"; }
-    std::unique_ptr<CoreTrace>
-    makeTrace(HostId, CoreId, unsigned, unsigned,
-              std::uint64_t) const override
-    {
-        return nullptr;
-    }
-
-  private:
-    std::uint64_t shared_;
-    std::uint64_t private_;
-};
-
-MemRef
-sharedRef(std::uint64_t page, unsigned line, MemOp op)
-{
-    MemRef r;
-    r.shared = true;
-    r.page = page;
-    r.lineIdx = static_cast<std::uint8_t>(line);
-    r.op = op;
-    return r;
-}
-
-LineAddr
-cxlLineOf(MultiHostSystem &sys, std::uint64_t page, unsigned line)
-{
-    return lineOf(pageBase(sys.space().sharedFrame(page)) +
-                  line * lineBytes);
-}
-
 TEST(CoherencePaths, ExclusiveReadGrantThenForwardOnSecondReader)
 {
     SystemConfig cfg = testConfig();
-    StubWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::native, wl, 3);
 
     sys.access(0, 0, sharedRef(1, 0, MemOp::read), 0);
-    const LineAddr line = cxlLineOf(sys, 1, 0);
+    const LineAddr line = homeLine(sys, 1, 0);
     // Exclusive grant: host 0 caches in M, directory M.
     EXPECT_EQ(sys.hierarchy(0).stateOf(line), HostState::M);
     const DirEntry *entry = sys.deviceDirectory().probe(line);
@@ -94,12 +51,12 @@ TEST(CoherencePaths, ExclusiveReadGrantThenForwardOnSecondReader)
 TEST(CoherencePaths, UpgradeInvalidatesOtherSharers)
 {
     SystemConfig cfg = testConfig();
-    StubWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::native, wl, 3);
 
     sys.access(0, 0, sharedRef(1, 0, MemOp::read), 0);
     sys.access(1, 0, sharedRef(1, 0, MemOp::read), 1000);
-    const LineAddr line = cxlLineOf(sys, 1, 0);
+    const LineAddr line = homeLine(sys, 1, 0);
     ASSERT_EQ(sys.hierarchy(0).stateOf(line), HostState::S);
 
     // Host 0 writes its cached S copy: upgrade path.
@@ -118,7 +75,7 @@ TEST(CoherencePaths, UpgradeInvalidatesOtherSharers)
 TEST(CoherencePaths, EvictionNotificationsKeepDirectoryPrecise)
 {
     SystemConfig cfg = testConfig();
-    StubWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::native, wl, 3);
 
     // Touch many lines; the tiny LLC evicts most of them. Afterwards,
@@ -136,14 +93,14 @@ TEST(CoherencePaths, EvictionNotificationsKeepDirectoryPrecise)
     std::uint64_t dir_entries = 0;
     for (std::uint64_t p = 0; p < 64; ++p) {
         for (unsigned l = 0; l < linesPerPage; ++l) {
-            if (sys.deviceDirectory().probe(cxlLineOf(sys, p, l)))
+            if (sys.deviceDirectory().probe(homeLine(sys, p, l)))
                 ++dir_entries;
         }
     }
     std::uint64_t cached = 0;
     for (std::uint64_t p = 0; p < 64; ++p) {
         for (unsigned l = 0; l < linesPerPage; ++l) {
-            if (sys.hierarchy(0).stateOf(cxlLineOf(sys, p, l)) !=
+            if (sys.hierarchy(0).stateOf(homeLine(sys, p, l)) !=
                 HostState::I) {
                 ++cached;
             }
@@ -160,7 +117,7 @@ TEST(CoherencePaths, DirectoryRecallInvalidatesSharers)
     cfg.deviceDirectory.sets = 2;
     cfg.deviceDirectory.ways = 2;
     cfg.deviceDirectory.slices = 2;
-    StubWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::native, wl, 3);
 
     Cycles now = 0;
@@ -183,7 +140,7 @@ TEST(CoherencePaths, PipmRevocationFlushesMeLines)
 {
     SystemConfig cfg = testConfig();
     cfg.trackValues = true;   // checks the flushed line's data below
-    StubWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 3);
     PipmState &pipm = *sys.pipmState();
 
@@ -211,7 +168,7 @@ TEST(CoherencePaths, PipmRevocationFlushesMeLines)
     }
     ASSERT_LT(me_line, linesPerPage);
     sys.access(0, 0, sharedRef(2, me_line, MemOp::read), now);
-    ASSERT_EQ(sys.hierarchy(0).stateOf(cxlLineOf(sys, 2, me_line)),
+    ASSERT_EQ(sys.hierarchy(0).stateOf(homeLine(sys, 2, me_line)),
               HostState::ME);
 
     // Revoke deterministically through the software interface (the
@@ -220,7 +177,7 @@ TEST(CoherencePaths, PipmRevocationFlushesMeLines)
     EXPECT_FALSE(pipm.hasLocalEntry(0, cxl_page));
     // Revocation must have flushed the ME line too, and cleared every
     // in-memory bit of the page (other pages may remain migrated).
-    EXPECT_EQ(sys.hierarchy(0).stateOf(cxlLineOf(sys, 2, me_line)),
+    EXPECT_EQ(sys.hierarchy(0).stateOf(homeLine(sys, 2, me_line)),
               HostState::I);
     for (unsigned l = 0; l < linesPerPage; ++l)
         EXPECT_FALSE(pipm.lineMigrated(0, cxl_page, l));
@@ -234,7 +191,7 @@ TEST(CoherencePaths, PipmRevocationFlushesMeLines)
 TEST(CoherencePaths, RemapCachesTrackPromotionAndRevocation)
 {
     SystemConfig cfg = testConfig();
-    StubWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 3);
 
     Cycles now = 0;
@@ -266,7 +223,7 @@ TEST_P(CoherenceStress, WidePageSetInvariantSweep)
     if (GetParam() == Scheme::localOnly)
         GTEST_SKIP();
     SystemConfig cfg = testConfig();
-    StubWorkload wl(128 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(128 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, GetParam(), wl, 11);
     Rng rng(13);
     Cycles now = 0;

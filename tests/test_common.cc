@@ -26,13 +26,6 @@ namespace pipm
 namespace
 {
 
-class ThrowOnErrorGuard
-{
-  public:
-    ThrowOnErrorGuard() { detail::throwOnError = true; }
-    ~ThrowOnErrorGuard() { detail::throwOnError = false; }
-};
-
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(123), b(123);
@@ -296,24 +289,42 @@ TEST(TablePrinter, NumberFormatting)
 
 TEST(Logging, PanicThrowsUnderTestHook)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(panic("boom ", 42), SimError);
     EXPECT_THROW(fatal("bad user"), SimError);
 }
 
 TEST(Logging, PanicIfOnlyFiresWhenTrue)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     EXPECT_NO_THROW(panic_if(false, "never"));
     EXPECT_THROW(panic_if(true, "always"), SimError);
 }
 
+// A scope restores the setting it found, not false: an inner scope ends
+// without disarming the outer one.
+TEST(Logging, ThrowOnErrorScopeRestoresTheOuterSetting)
+{
+    EXPECT_FALSE(detail::throwOnError);
+    {
+        ThrowOnErrorScope outer;
+        {
+            ThrowOnErrorScope inner;
+        }
+        EXPECT_THROW(panic("still in the outer scope"), SimError);
+    }
+    EXPECT_FALSE(detail::throwOnError);
+}
+
 TEST(Env, U64RejectsMalformedValues)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
+    EXPECT_FALSE(parseU64(""));
+    EXPECT_EQ(parseU64("18446744073709551615"), ~0ull);
     const char *name = "PIPM_TEST_ENV_U64";
     for (const char *bad : {"20k", "yes", "-1", " 5", "0x10", "1.5",
                             "99999999999999999999"}) {
+        EXPECT_FALSE(parseU64(bad)) << bad;
         setenv(name, bad, 1);
         try {
             envU64(name, 7);
@@ -417,7 +428,7 @@ TEST(Config, AddressMapRegions)
 
 TEST(Config, ValidateRejectsBadValues)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.numHosts = 0;
     EXPECT_THROW(cfg.validate(), SimError);
@@ -466,7 +477,7 @@ TEST(Config, OsEpochCyclesNeverRoundsToZero)
 
 TEST(Config, ValidateRejectsNonPositiveEpoch)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.osMigration.intervalMs = 0.0;
     EXPECT_THROW(cfg.validate(), SimError);

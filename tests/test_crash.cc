@@ -19,111 +19,18 @@
 #include "sim/system.hh"
 #include "verify/fault_schedule.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
 
-struct ThrowOnErrorGuard
-{
-    ThrowOnErrorGuard() { detail::throwOnError = true; }
-    ~ThrowOnErrorGuard() { detail::throwOnError = false; }
-};
-
-/** A trivial workload wrapper so tests can size the heap directly. */
-class TinyWorkload : public Workload
-{
-  public:
-    TinyWorkload(std::uint64_t shared_bytes, std::uint64_t private_bytes)
-        : shared_(shared_bytes), private_(private_bytes)
-    {
-    }
-
-    std::string name() const override { return "tiny"; }
-    std::string suite() const override { return "test"; }
-    std::uint64_t footprintBytes() const override { return shared_; }
-    std::uint64_t sharedBytes() const override { return shared_; }
-    std::uint64_t privateBytesPerHost() const override { return private_; }
-    std::string fingerprint() const override { return "tiny"; }
-
-    std::unique_ptr<CoreTrace>
-    makeTrace(HostId, CoreId, unsigned, unsigned,
-              std::uint64_t) const override
-    {
-        panic("TinyWorkload has no traces; drive the system directly");
-    }
-
-  private:
-    std::uint64_t shared_;
-    std::uint64_t private_;
-};
-
-MemRef
-sharedRef(std::uint64_t page, unsigned line, MemOp op)
-{
-    MemRef r;
-    r.shared = true;
-    r.page = page;
-    r.lineIdx = static_cast<std::uint8_t>(line);
-    r.op = op;
-    return r;
-}
-
-/** Fault config with every rate zero but crashHost() callable. */
-FaultConfig
-quietFaults(std::uint64_t seed = 1)
-{
-    FaultConfig f;
-    f.enabled = true;
-    f.seed = seed;
-    return f;
-}
-
-/** Home line address of (shared page, line index). */
-LineAddr
-homeLine(MultiHostSystem &system, std::uint64_t page, unsigned line)
-{
-    return lineOf(pageBase(system.space().sharedMapping(page).frame) +
-                  static_cast<PhysAddr>(line) * lineBytes);
-}
-
-/** A small synthetic workload compatible with testConfig capacities. */
-std::unique_ptr<Workload>
-smallWorkload()
-{
-    PatternParams p;
-    p.name = "small";
-    p.suite = "test";
-    p.footprintFullBytes = 8ull << 30;
-    p.partitionAffinity = 0.9;
-    p.zipfTheta = 0.8;
-    p.readFrac = 0.8;
-    p.seqRunLines = 8;
-    p.gapMean = 20;
-    p.privateFrac = 0.2;
-    p.globalHotFrac = 0.08;
-    p.scanFrac = 0.5;
-    p.scanSpanFrac = 0.05;
-    p.phaseRefs = 20'000;
-    return std::make_unique<SyntheticWorkload>(p, 256);
-}
-
-RunConfig
-shortRun()
-{
-    RunConfig run;
-    run.warmupRefsPerCore = 2'000;
-    run.measureRefsPerCore = 8'000;
-    run.footprintSampleEvery = 8'000;
-    return run;
-}
-
 // ---- Configuration and schedule generation ------------------------------
 
 TEST(CrashConfig, ValidationAndPaperConfig)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     FaultConfig f;
     f.crashMeanIntervalNs = -1.0;
     EXPECT_THROW(f.validate(), SimError);
@@ -212,10 +119,10 @@ TEST(CrashDirectory, OwnerScanBoundedByHostCount)
 
 TEST(CrashSweep, SharedSharerDowngradedWithoutLoss)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
 
     Cycles now = 0;
@@ -252,10 +159,10 @@ TEST(CrashSweep, SharedSharerDowngradedWithoutLoss)
 
 TEST(CrashSweep, DirtyOwnerLinesAreLostAndServedStale)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
 
     Cycles now = 0;
@@ -289,11 +196,11 @@ TEST(CrashSweep, L1AndLlcDirtyLineCountedOnceWithLatestValue)
     // no-op if it were the one compared), the second stores a different
     // value — keeping the stale first capture (emplace semantics) would
     // compare equal to the device copy and silently miss the loss.
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.coresPerHost = 2;
     cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
 
     Cycles now = 0;
@@ -325,10 +232,10 @@ TEST(CrashSweep, DirtyLineMatchingDeviceCopyIsNotLost)
     // The converse direction: a dirty cached line whose latest value
     // equals the device copy loses nothing at crash time — loss is a
     // value comparison, not a dirty-bit count.
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
 
     Cycles now = 0;
@@ -349,11 +256,11 @@ TEST(CrashSweep, DirtyLineMatchingDeviceCopyIsNotLost)
 
 TEST(CrashSweep, PoisonPolicyPoisonsLostLines)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
     cfg.fault.crashRecovery = CrashRecoveryPolicy::poison;
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
 
     Cycles now = 0;
@@ -379,10 +286,10 @@ TEST(CrashSweep, PoisonPolicyPoisonsLostLines)
 
 TEST(CrashSweep, LocalOnlyIdealExemptFromSwmrCheck)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::localOnly, wl, 1);
 
     // The Local-only ideal models no cross-host coherence: both hosts
@@ -409,10 +316,10 @@ TEST(CrashSweep, LocalOnlyIdealExemptFromSwmrCheck)
 
 TEST(CrashRemap, InFlightPromotionAborted)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::pipmFull, wl, 1);
     PipmState *pipm = system.pipmState();
     ASSERT_NE(pipm, nullptr);
@@ -483,10 +390,10 @@ crashAfterPartialMigration(MultiHostSystem &system)
 
 TEST(CrashRemap, PartialBitmapReintegratedWithLossAccounting)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::pipmFull, wl, 1);
     PipmState *pipm = system.pipmState();
     const PageFrame page =
@@ -520,13 +427,13 @@ TEST(CrashRemap, LostLinesDoNotDependOnTrackValues)
     // Any fault-enabled run tracks values (lost-line accounting compares
     // them), so a hand-made crash loses the same lines whether or not
     // the configuration asks for values.
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     std::vector<LineAddr> lost[2];
     for (const bool track : {false, true}) {
         SystemConfig cfg = testConfig();
         cfg.fault = quietFaults();
         cfg.trackValues = track;
-        TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+        FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
         MultiHostSystem system(cfg, Scheme::pipmFull, wl, 1);
         EXPECT_TRUE(system.memory().tracksValues());
         crashAfterPartialMigration(system);
@@ -540,10 +447,10 @@ TEST(CrashRemap, LostLinesDoNotDependOnTrackValues)
 
 TEST(CrashRejoin, ColdStructuresAndStaleEpochRejection)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
 
     Cycles now = 0;
@@ -600,12 +507,12 @@ TEST(CrashRejoin, RejoinBeforeSuspicionReclaimsFirst)
     // lazily. A host whose outage is shorter than its lease must still
     // not readmit over its own stale directory state: rejoin forces the
     // deferred reclamation (counting the suspicion) before coming back.
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults();
     cfg.fault.leaseNs = 20'000.0;
     cfg.fault.heartbeatIntervalNs = 4'000.0;
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
     ASSERT_TRUE(system.detectionEnabled());
 

@@ -20,101 +20,16 @@
 #include "sim/system.hh"
 #include "verify/fault_schedule.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
 
-struct ThrowOnErrorGuard
-{
-    ThrowOnErrorGuard() { detail::throwOnError = true; }
-    ~ThrowOnErrorGuard() { detail::throwOnError = false; }
-};
-
-/** A trivial workload wrapper so tests can size the heap directly. */
-class TinyWorkload : public Workload
-{
-  public:
-    TinyWorkload(std::uint64_t shared_bytes, std::uint64_t private_bytes)
-        : shared_(shared_bytes), private_(private_bytes)
-    {
-    }
-
-    std::string name() const override { return "tiny"; }
-    std::string suite() const override { return "test"; }
-    std::uint64_t footprintBytes() const override { return shared_; }
-    std::uint64_t sharedBytes() const override { return shared_; }
-    std::uint64_t privateBytesPerHost() const override { return private_; }
-    std::string fingerprint() const override { return "tiny"; }
-
-    std::unique_ptr<CoreTrace>
-    makeTrace(HostId, CoreId, unsigned, unsigned,
-              std::uint64_t) const override
-    {
-        panic("TinyWorkload has no traces; drive the system directly");
-    }
-
-  private:
-    std::uint64_t shared_;
-    std::uint64_t private_;
-};
-
-MemRef
-sharedRef(std::uint64_t page, unsigned line, MemOp op)
-{
-    MemRef r;
-    r.shared = true;
-    r.page = page;
-    r.lineIdx = static_cast<std::uint8_t>(line);
-    r.op = op;
-    return r;
-}
-
-/** Fault config with every rate zero (but injection "enabled"). */
-FaultConfig
-quietFaults(std::uint64_t seed = 1)
-{
-    FaultConfig f;
-    f.enabled = true;
-    f.seed = seed;
-    return f;
-}
-
-/** A small synthetic workload compatible with testConfig capacities. */
-std::unique_ptr<Workload>
-smallWorkload()
-{
-    PatternParams p;
-    p.name = "small";
-    p.suite = "test";
-    p.footprintFullBytes = 8ull << 30;
-    p.partitionAffinity = 0.9;
-    p.zipfTheta = 0.8;
-    p.readFrac = 0.8;
-    p.seqRunLines = 8;
-    p.gapMean = 20;
-    p.privateFrac = 0.2;
-    p.globalHotFrac = 0.08;
-    p.scanFrac = 0.5;
-    p.scanSpanFrac = 0.05;
-    p.phaseRefs = 20'000;
-    return std::make_unique<SyntheticWorkload>(p, 256);
-}
-
-RunConfig
-shortRun()
-{
-    RunConfig run;
-    run.warmupRefsPerCore = 2'000;
-    run.measureRefsPerCore = 8'000;
-    run.footprintSampleEvery = 8'000;
-    return run;
-}
-
 TEST(FaultConfigValidate, RejectsNonsense)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     FaultConfig f;
     f.linkErrorRate = 1.5;
     EXPECT_THROW(f.validate(), SimError);
@@ -137,7 +52,7 @@ TEST(FaultConfigValidate, RejectsNonsense)
 
 TEST(FaultConfigValidate, SystemValidateCoversMachineGeometry)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.link.bytesPerNs = 0.0;
     EXPECT_THROW(cfg.validate(), SimError);
@@ -154,7 +69,7 @@ TEST(FaultConfigValidate, SystemValidateCoversMachineGeometry)
     cfg = testConfig();
     cfg.fault.enabled = true;
     cfg.fault.poisonRate = 2.0;
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     EXPECT_THROW(runExperiment(cfg, Scheme::native, wl, shortRun()),
                  SimError);
 }
@@ -294,7 +209,7 @@ TEST(FaultPoison, PersistentPoisonServedByDegradedUncacheablePath)
     cfg.fault = quietFaults(11);
     cfg.fault.poisonRate = 1.0;
     cfg.fault.persistentPoisonFrac = 1.0;   // every line poisoned forever
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     FaultInjector &faults = *sys.faultInjector();
 
@@ -311,8 +226,7 @@ TEST(FaultPoison, PersistentPoisonServedByDegradedUncacheablePath)
 
     // The poisoned line is never cached on either host and never gets a
     // directory entry; checkInvariants asserts exactly this.
-    const LineAddr line =
-        lineOf(pageBase(sys.space().sharedFrame(1)) + 3 * lineBytes);
+    const LineAddr line = homeLine(sys, 1, 3);
     EXPECT_EQ(sys.hierarchy(0).stateOf(line), HostState::I);
     EXPECT_EQ(sys.hierarchy(1).stateOf(line), HostState::I);
     EXPECT_EQ(sys.deviceDirectory().probe(line), nullptr);
@@ -325,7 +239,7 @@ TEST(FaultPoison, TransientPoisonIsScrubbedByOneRetry)
     cfg.fault = quietFaults(13);
     cfg.fault.poisonRate = 1.0;
     cfg.fault.persistentPoisonFrac = 0.0;   // every hit scrubs clean
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     FaultInjector &faults = *sys.faultInjector();
 
@@ -337,8 +251,7 @@ TEST(FaultPoison, TransientPoisonIsScrubbedByOneRetry)
     EXPECT_EQ(faults.degradedAccesses.value(), 0u);
 
     // Scrubbed: the line cached normally and reads back the new value.
-    const LineAddr line =
-        lineOf(pageBase(sys.space().sharedFrame(2)) + 4 * lineBytes);
+    const LineAddr line = homeLine(sys, 2, 4);
     EXPECT_EQ(sys.hierarchy(0).stateOf(line), HostState::M);
     const AccessResult r =
         sys.access(0, 0, sharedRef(2, 4, MemOp::read), 10'000);
@@ -448,7 +361,7 @@ TEST(FaultMigration, PromotionAbortRollsBackCleanly)
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults(17);
     cfg.fault.migrationAbortRate = 1.0;   // every migration fault-aborts
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
     FaultInjector &faults = *sys.faultInjector();
@@ -493,7 +406,7 @@ TEST(FaultBackoff, HighErrorRateDefersMigrations)
     cfg.fault.linkErrorRate = 1.0;    // hopeless link
     cfg.fault.backoffWindow = 4;
     cfg.fault.backoffBaseNs = 1e6;    // back off for a long time
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
     FaultInjector &faults = *sys.faultInjector();
@@ -559,7 +472,7 @@ TEST(FaultSchedules, SameInstantEventsHaveAPinnedTotalOrder)
 
 TEST(FaultCombined, PoisonSuspectedHostAndRetrainWindowCoexist)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = quietFaults(31);
     cfg.fault.poisonRate = 1.0;
@@ -568,7 +481,7 @@ TEST(FaultCombined, PoisonSuspectedHostAndRetrainWindowCoexist)
     cfg.fault.retrainWindowNs = 2'000.0;
     cfg.fault.leaseNs = 20'000.0;
     cfg.fault.heartbeatIntervalNs = 4'000.0;
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     FaultInjector &faults = *sys.faultInjector();
     ASSERT_TRUE(sys.detectionEnabled());
@@ -634,7 +547,7 @@ TEST(FaultSchedules, CheckerRejectsAFaultFreeConfig)
 {
     // The schedule is cfg.fault; checking a config without one would
     // exercise no failure machinery and report it SAFE.
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(checkFaultSchedules(testConfig(), Scheme::pipmFull, 1, 10),
                  SimError);
 }

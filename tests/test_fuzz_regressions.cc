@@ -29,12 +29,6 @@ namespace
 
 using fuzz::FuzzCase;
 
-struct ThrowOnErrorGuard
-{
-    ThrowOnErrorGuard() { detail::throwOnError = true; }
-    ~ThrowOnErrorGuard() { detail::throwOnError = false; }
-};
-
 /** Restore the planted-bug hook no matter how the test exits. */
 struct SkewGuard
 {
@@ -46,7 +40,7 @@ struct SkewGuard
 
 TEST(FuzzSampler, EverySampledCaseIsValid)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
         const FuzzCase c = fuzz::sampleCase(seed);
         std::string why;
@@ -58,7 +52,7 @@ TEST(FuzzSampler, EverySampledCaseIsValid)
 
 TEST(FuzzSampler, SamplingIsDeterministicInTheSeed)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
         EXPECT_EQ(fuzz::caseSignature(fuzz::sampleCase(seed)),
                   fuzz::caseSignature(fuzz::sampleCase(seed)))
@@ -71,7 +65,7 @@ TEST(FuzzSampler, SamplingIsDeterministicInTheSeed)
 
 TEST(FuzzSampler, RepairClampsWildCases)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     FuzzCase c = fuzz::defaultCase();
     c.cfg.numHosts = 200;               // > 32-host validate() ceiling
     c.cfg.pipm.migrationThreshold = 0;  // must be >= 1
@@ -86,6 +80,31 @@ TEST(FuzzSampler, RepairClampsWildCases)
     EXPECT_GE(c.measureRefs, 1u);
 }
 
+// caseValid applies AddressSpace's own fit rule, which rounds a heap that
+// is not a whole number of pages up: a CXL pool of the rounded-down page
+// count is too small, and building the system for that case fails.
+TEST(FuzzSampler, CaseValidRoundsAPartialHeapPageUp)
+{
+    ThrowOnErrorScope guard;
+    FuzzCase c = fuzz::defaultCase();
+    // A scale with a factor of 7 leaves the scaled heap a fraction of a
+    // page over; local DRAM is kept a whole number of pages.
+    c.cfg.footprintScale = 7 * 256;
+    c.cfg.localBytesPerHostFull = 7ull * 256 * 4096 * pageBytes;
+    const std::uint64_t shared = fuzz::caseWorkload(c)->sharedBytes();
+    ASSERT_NE(shared % pageBytes, 0u);
+    c.cfg.cxlPoolBytesFull = shared / pageBytes * pageBytes * 7 * 256;
+
+    std::string why;
+    EXPECT_FALSE(fuzz::caseValid(c, &why));
+    EXPECT_NE(why.find("does not fit in the CXL pool"), std::string::npos)
+        << why;
+    EXPECT_THROW(fuzz::runCase(c, fuzz::runConfigFor(c)), SimError);
+
+    c.cfg.cxlPoolBytesFull += pageBytes * 7 * 256;
+    EXPECT_TRUE(fuzz::caseValid(c, &why)) << why;
+}
+
 // ---- One pinned shrunk configuration per oracle class -------------------
 //
 // Each case below is the shrunk shape the minimizer converges to for its
@@ -95,7 +114,7 @@ TEST(FuzzSampler, RepairClampsWildCases)
 
 TEST(FuzzRegressions, SchedOracleCrashLeaseSeed1)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     FuzzCase c = fuzz::defaultCase();
     c.cfg.numHosts = 3;
     c.workload = "canneal";
@@ -111,7 +130,7 @@ TEST(FuzzRegressions, SchedOracleCrashLeaseSeed1)
 
 TEST(FuzzRegressions, FaultZeroOracleAllDomainsAtZeroRate)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     FuzzCase c = fuzz::defaultCase();
     c.cfg.numHosts = 2;
     c.workload = "tpcc";
@@ -125,7 +144,7 @@ TEST(FuzzRegressions, FaultZeroOracleAllDomainsAtZeroRate)
 TEST(FuzzRegressions, ValuesOracleFaultFreePipm)
 {
     // Fault-free, so the value plane really is off in the first run.
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     FuzzCase c = fuzz::defaultCase();
     c.workload = "ycsb";
     c.scheme = Scheme::pipmFull;
@@ -138,7 +157,7 @@ TEST(FuzzRegressions, ValuesOracleFaultFreePipm)
 
 TEST(FuzzRegressions, UnknownOracleErrorNamesEveryOracle)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     try {
         fuzz::coreOracle("no-such-oracle");
         ADD_FAILURE() << "an unknown oracle name was accepted";
@@ -150,7 +169,7 @@ TEST(FuzzRegressions, UnknownOracleErrorNamesEveryOracle)
 
 TEST(FuzzRegressions, InvariantsOracleMetaCorruptionSeed7)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     FuzzCase c = fuzz::defaultCase();
     c.cfg.numHosts = 3;
     c.workload = "sssp";
@@ -165,7 +184,7 @@ TEST(FuzzRegressions, InvariantsOracleMetaCorruptionSeed7)
 
 TEST(FuzzRegressions, StatsJsonOracleLinkFaults)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     FuzzCase c = fuzz::defaultCase();
     c.workload = "ycsb";
     c.cfg.fault.enabled = true;
@@ -186,7 +205,7 @@ TEST(FuzzRegressions, StatsJsonOracleLinkFaults)
 
 TEST(FuzzSelfTest, PlantedSchedulerSkewIsDetectedAndMinimized)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
 
     // A busy sampled case: several fault domains, so the minimizer has
     // something real to strip. Seeded scheduler divergence: the scan
@@ -227,7 +246,7 @@ TEST(FuzzSelfTest, PlantedSchedulerSkewIsDetectedAndMinimized)
 
 TEST(FuzzSelfTest, HookRestoredOraclePassesAgain)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     ASSERT_EQ(fuzz::hooks().schedExecSkew, 0u);
     FuzzCase c = fuzz::defaultCase();
     fuzz::repairCase(c);

@@ -59,10 +59,9 @@ TEST_F(HierarchyTest, RecordWriteMarksDirtyAndUpdatesData)
 
 TEST_F(HierarchyTest, WriteToSharedStatePanics)
 {
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     hier_.fill(0, 7, HostState::S, false, 5);
     EXPECT_THROW(hier_.recordWrite(0, 7, 1), SimError);
-    detail::throwOnError = false;
 }
 
 TEST_F(HierarchyTest, SetStateTransitions)

@@ -12,10 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,71 +28,16 @@
 #include "sim/runner.hh"
 #include "verify/fault_schedule.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
 
-struct ThrowOnErrorGuard
-{
-    ThrowOnErrorGuard() { detail::throwOnError = true; }
-    ~ThrowOnErrorGuard() { detail::throwOnError = false; }
-};
-
-/** Fault config with every rate zero (but injection "enabled"). */
-FaultConfig
-quietFaults(std::uint64_t seed = 1)
-{
-    FaultConfig f;
-    f.enabled = true;
-    f.seed = seed;
-    return f;
-}
-
-std::unique_ptr<Workload>
-smallWorkload()
-{
-    PatternParams p;
-    p.name = "small";
-    p.suite = "test";
-    p.footprintFullBytes = 8ull << 30;
-    p.partitionAffinity = 0.9;
-    p.zipfTheta = 0.8;
-    p.readFrac = 0.8;
-    p.seqRunLines = 8;
-    p.gapMean = 20;
-    p.privateFrac = 0.2;
-    p.globalHotFrac = 0.08;
-    p.scanFrac = 0.5;
-    p.scanSpanFrac = 0.05;
-    p.phaseRefs = 20'000;
-    return std::make_unique<SyntheticWorkload>(p, 256);
-}
-
-RunConfig
-shortRun()
-{
-    RunConfig run;
-    run.warmupRefsPerCore = 2'000;
-    run.measureRefsPerCore = 8'000;
-    run.footprintSampleEvery = 8'000;
-    return run;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
 TEST(MetaConfigValidate, RejectsNonsense)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
 
     FaultConfig f = quietFaults();
     f.metaCorruptMeanIntervalNs = -1.0;

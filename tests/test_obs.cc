@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "fuzz/fuzz.hh"
@@ -21,6 +19,7 @@
 #include "obs/trace.hh"
 #include "sim/runner.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
@@ -246,16 +245,6 @@ TEST(MetricsRegistry, PrefixDisambiguatesPerHostGroups)
 
 // ---- stats.json export -------------------------------------------------
 
-SystemConfig
-smallSystem()
-{
-    SystemConfig cfg = testConfig();
-    cfg.numHosts = 2;
-    cfg.coresPerHost = 2;
-    cfg.validate();
-    return cfg;
-}
-
 RunConfig
 obsRun(const std::string &path)
 {
@@ -269,36 +258,6 @@ obsRun(const std::string &path)
     run.obsWatchLines = "0,4096";
     run.obsFromEnv = false;   // tests must not react to the caller's env
     return run;
-}
-
-std::unique_ptr<Workload>
-smallWorkload()
-{
-    PatternParams p;
-    p.name = "small";
-    p.suite = "test";
-    p.footprintFullBytes = 8ull << 30;
-    p.partitionAffinity = 0.9;
-    p.zipfTheta = 0.8;
-    p.readFrac = 0.8;
-    p.seqRunLines = 8;
-    p.gapMean = 20;
-    p.privateFrac = 0.2;
-    p.globalHotFrac = 0.08;
-    p.scanFrac = 0.5;
-    p.scanSpanFrac = 0.05;
-    p.phaseRefs = 20'000;
-    return std::make_unique<SyntheticWorkload>(p, 256);
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
 }
 
 /** stats.json totals and interval sums equal `r` for every table field. */

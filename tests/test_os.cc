@@ -43,10 +43,9 @@ TEST(FrameAllocator, AllocatesSequentiallyThenRecycles)
 
 TEST(FrameAllocator, FreeingForeignFramePanics)
 {
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     FrameAllocator alloc(100, 3);
     EXPECT_THROW(alloc.free(99), SimError);
-    detail::throwOnError = false;
 }
 
 TEST_F(AddressSpaceTest, SharedPagesStartInCxl)
@@ -145,19 +144,17 @@ TEST_F(AddressSpaceTest, PrivateAddressesAreHostLocal)
 
 TEST_F(AddressSpaceTest, PrivateOutOfRangePanics)
 {
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(space_.privateAddr(0, 8 * pageBytes), SimError);
-    detail::throwOnError = false;
 }
 
 TEST(AddressSpace, RejectsOversizedHeap)
 {
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     EXPECT_THROW(AddressSpace(cfg, cfg.cxlPoolBytes() + pageBytes,
                               pageBytes),
                  SimError);
-    detail::throwOnError = false;
 }
 
 } // namespace

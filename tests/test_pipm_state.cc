@@ -116,11 +116,10 @@ TEST_F(PipmStateTest, LineBitmapTracksMigration)
 
 TEST_F(PipmStateTest, DoubleMigrateSameLinePanics)
 {
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     feed(1, 0, cfg_.pipm.migrationThreshold);
     state_.setLineMigrated(0, 1, 5);
     EXPECT_THROW(state_.setLineMigrated(0, 1, 5), SimError);
-    detail::throwOnError = false;
 }
 
 TEST_F(PipmStateTest, LocalCounterStartsAtThresholdAndRevokesAtZero)

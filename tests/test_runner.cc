@@ -8,53 +8,12 @@
 
 #include "sim/runner.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
-
-SystemConfig
-smallSystem()
-{
-    SystemConfig cfg = testConfig();
-    cfg.numHosts = 2;
-    cfg.coresPerHost = 2;
-    cfg.validate();
-    return cfg;
-}
-
-RunConfig
-shortRun()
-{
-    RunConfig run;
-    run.warmupRefsPerCore = 2'000;
-    run.measureRefsPerCore = 8'000;
-    run.footprintSampleEvery = 8'000;
-    return run;
-}
-
-/** A small synthetic workload compatible with testConfig capacities. */
-std::unique_ptr<Workload>
-smallWorkload(double affinity = 0.9, double scan = 0.5)
-{
-    PatternParams p;
-    p.name = "small";
-    p.suite = "test";
-    p.footprintFullBytes = 8ull << 30;
-    p.partitionAffinity = affinity;
-    p.zipfTheta = 0.8;
-    p.readFrac = 0.8;
-    p.seqRunLines = 8;
-    p.gapMean = 20;
-    p.privateFrac = 0.2;
-    p.globalHotFrac = 0.08;
-    p.scanFrac = scan;
-    p.scanSpanFrac = 0.05;
-    p.phaseRefs = 20'000;
-    // 8 GB / 256 = 32 MB shared; testConfig CXL pool is 64 MB.
-    return std::make_unique<SyntheticWorkload>(p, 256);
-}
 
 TEST(Runner, SameSeedIsBitForBitDeterministic)
 {

@@ -10,26 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
 #include "sim/runner.hh"
 #include "sim/sched.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
-
-struct ThrowOnErrorGuard
-{
-    ThrowOnErrorGuard() { detail::throwOnError = true; }
-    ~ThrowOnErrorGuard() { detail::throwOnError = false; }
-};
 
 /** The historical scheduler: first slot with the strictly smallest
  *  clock wins, so equal clocks resolve to the lowest index. */
@@ -135,12 +128,11 @@ TEST(Sched, RandomizedModelEquivalence)
 
 // ---- Whole-run bit-identity -------------------------------------------
 
+/** smallSystem() with every fault domain armed. */
 SystemConfig
-smallSystem()
+faultySystem()
 {
-    SystemConfig cfg = testConfig();
-    cfg.numHosts = 2;
-    cfg.coresPerHost = 2;
+    SystemConfig cfg = smallSystem();
     // Crash + suspicion + metadata corruption layered on the paper-
     // default lossy fabric: every subsystem the event horizon elides is
     // armed, so heap-vs-scan identity covers the full tick slow path.
@@ -148,26 +140,6 @@ smallSystem()
     addPaperMetaFaults(cfg.fault);
     cfg.validate();
     return cfg;
-}
-
-std::unique_ptr<Workload>
-smallWorkload()
-{
-    PatternParams p;
-    p.name = "small";
-    p.suite = "test";
-    p.footprintFullBytes = 8ull << 30;
-    p.partitionAffinity = 0.9;
-    p.zipfTheta = 0.8;
-    p.readFrac = 0.8;
-    p.seqRunLines = 8;
-    p.gapMean = 20;
-    p.privateFrac = 0.2;
-    p.globalHotFrac = 0.08;
-    p.scanFrac = 0.5;
-    p.scanSpanFrac = 0.05;
-    p.phaseRefs = 20'000;
-    return std::make_unique<SyntheticWorkload>(p, 256);
 }
 
 RunConfig
@@ -185,19 +157,9 @@ identityRun(const std::string &sched, const std::string &stats_path)
     return run;
 }
 
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
 TEST(Sched, HeapAndScanRunsAreBitIdentical)
 {
-    const SystemConfig cfg = smallSystem();
+    const SystemConfig cfg = faultySystem();
     auto wl = smallWorkload();
     const std::string ph = "test_sched_heap.json";
     const std::string ps = "test_sched_scan.json";
@@ -251,8 +213,8 @@ TEST(Sched, HeapAndScanRunsAreBitIdentical)
 
 TEST(Sched, UnknownSchedulerNamePanics)
 {
-    ThrowOnErrorGuard guard;
-    const SystemConfig cfg = smallSystem();
+    ThrowOnErrorScope guard;
+    const SystemConfig cfg = faultySystem();
     auto wl = smallWorkload();
     const RunConfig run = identityRun("fifo", "");
     EXPECT_THROW(runExperiment(cfg, Scheme::native, *wl, run), SimError);

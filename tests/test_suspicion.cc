@@ -17,56 +17,12 @@
 #include "sim/system.hh"
 #include "verify/fault_schedule.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
-
-struct ThrowOnErrorGuard
-{
-    ThrowOnErrorGuard() { detail::throwOnError = true; }
-    ~ThrowOnErrorGuard() { detail::throwOnError = false; }
-};
-
-/** A trivial workload wrapper so tests can size the heap directly. */
-class TinyWorkload : public Workload
-{
-  public:
-    TinyWorkload(std::uint64_t shared_bytes, std::uint64_t private_bytes)
-        : shared_(shared_bytes), private_(private_bytes)
-    {
-    }
-
-    std::string name() const override { return "tiny"; }
-    std::string suite() const override { return "test"; }
-    std::uint64_t footprintBytes() const override { return shared_; }
-    std::uint64_t sharedBytes() const override { return shared_; }
-    std::uint64_t privateBytesPerHost() const override { return private_; }
-    std::string fingerprint() const override { return "tiny"; }
-
-    std::unique_ptr<CoreTrace>
-    makeTrace(HostId, CoreId, unsigned, unsigned,
-              std::uint64_t) const override
-    {
-        panic("TinyWorkload has no traces; drive the system directly");
-    }
-
-  private:
-    std::uint64_t shared_;
-    std::uint64_t private_;
-};
-
-MemRef
-sharedRef(std::uint64_t page, unsigned line, MemOp op)
-{
-    MemRef r;
-    r.shared = true;
-    r.page = page;
-    r.lineIdx = static_cast<std::uint8_t>(line);
-    r.op = op;
-    return r;
-}
 
 /**
  * Fault config with every rate zero but the lease detector armed, so
@@ -77,9 +33,7 @@ sharedRef(std::uint64_t page, unsigned line, MemOp op)
 FaultConfig
 leaseFaults(std::uint64_t seed = 1)
 {
-    FaultConfig f;
-    f.enabled = true;
-    f.seed = seed;
+    FaultConfig f = quietFaults(seed);
     f.leaseNs = 20'000.0;
     f.heartbeatIntervalNs = 4'000.0;
     f.txnTimeoutNs = 2'000.0;
@@ -90,50 +44,11 @@ leaseFaults(std::uint64_t seed = 1)
     return f;
 }
 
-/** Home line address of (shared page, line index). */
-LineAddr
-homeLine(MultiHostSystem &system, std::uint64_t page, unsigned line)
-{
-    return lineOf(pageBase(system.space().sharedMapping(page).frame) +
-                  static_cast<PhysAddr>(line) * lineBytes);
-}
-
-/** A small synthetic workload compatible with testConfig capacities. */
-std::unique_ptr<Workload>
-smallWorkload()
-{
-    PatternParams p;
-    p.name = "small";
-    p.suite = "test";
-    p.footprintFullBytes = 8ull << 30;
-    p.partitionAffinity = 0.9;
-    p.zipfTheta = 0.8;
-    p.readFrac = 0.8;
-    p.seqRunLines = 8;
-    p.gapMean = 20;
-    p.privateFrac = 0.2;
-    p.globalHotFrac = 0.08;
-    p.scanFrac = 0.5;
-    p.scanSpanFrac = 0.05;
-    p.phaseRefs = 20'000;
-    return std::make_unique<SyntheticWorkload>(p, 256);
-}
-
-RunConfig
-shortRun()
-{
-    RunConfig run;
-    run.warmupRefsPerCore = 2'000;
-    run.measureRefsPerCore = 8'000;
-    run.footprintSampleEvery = 8'000;
-    return run;
-}
-
 // ---- Configuration validation -------------------------------------------
 
 TEST(SuspicionConfig, ValidationRejectsBadKnobs)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
 
     // A heartbeat period that is not shorter than the lease would let
     // every lease expire between renewals.
@@ -246,10 +161,10 @@ TEST(SuspicionSchedule, StallWindowsDeterministicOnSeparateStream)
 
 TEST(SuspicionReclaim, DeadHostReclaimDeferredUntilLeaseExpiry)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = leaseFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
     ASSERT_TRUE(system.detectionEnabled());
     FaultInjector &faults = *system.faultInjector();
@@ -292,10 +207,10 @@ TEST(SuspicionReclaim, DeadHostReclaimDeferredUntilLeaseExpiry)
 
 TEST(SuspicionTimeout, RetryExhaustionSuspectsDeadOwner)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = leaseFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
     FaultInjector &faults = *system.faultInjector();
 
@@ -340,10 +255,10 @@ TEST(SuspicionReclaim, NaiveReclaimSkipsDeadUnsweptOwner)
     // then dies and lingers unswept. Reclaiming host 0 must not read
     // host 1's (empty) cache; the line goes through the loss check, and
     // host 1's own sweep later drops its entry.
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = leaseFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::pipmNaive, wl, 7);
 
     Cycles now = 0;
@@ -385,10 +300,10 @@ TEST(SuspicionReclaim, NaiveReclaimSkipsDeadUnsweptOwner)
 
 TEST(SuspicionFence, FalseSuspicionFencesAliveHostAndReadmitsCold)
 {
-    ThrowOnErrorGuard guard;
+    ThrowOnErrorScope guard;
     SystemConfig cfg = testConfig();
     cfg.fault = leaseFaults();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem system(cfg, Scheme::native, wl, 1);
     FaultInjector &faults = *system.faultInjector();
 

@@ -15,39 +15,12 @@
 #include "common/rng.hh"
 #include "sim/system.hh"
 #include "workloads/catalog.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
-
-/** A trivial workload wrapper so tests can size the heap directly. */
-class TinyWorkload : public Workload
-{
-  public:
-    TinyWorkload(std::uint64_t shared_bytes, std::uint64_t private_bytes)
-        : shared_(shared_bytes), private_(private_bytes)
-    {
-    }
-
-    std::string name() const override { return "tiny"; }
-    std::string suite() const override { return "test"; }
-    std::uint64_t footprintBytes() const override { return shared_; }
-    std::uint64_t sharedBytes() const override { return shared_; }
-    std::uint64_t privateBytesPerHost() const override { return private_; }
-    std::string fingerprint() const override { return "tiny"; }
-
-    std::unique_ptr<CoreTrace>
-    makeTrace(HostId, CoreId, unsigned, unsigned,
-              std::uint64_t) const override
-    {
-        panic("TinyWorkload has no traces; drive the system directly");
-    }
-
-  private:
-    std::uint64_t shared_;
-    std::uint64_t private_;
-};
 
 /** testConfig() with the value plane on: these tests check data. */
 SystemConfig
@@ -56,17 +29,6 @@ valueConfig()
     SystemConfig cfg = testConfig();
     cfg.trackValues = true;
     return cfg;
-}
-
-MemRef
-sharedRef(std::uint64_t page, unsigned line, MemOp op)
-{
-    MemRef r;
-    r.shared = true;
-    r.page = page;
-    r.lineIdx = static_cast<std::uint8_t>(line);
-    r.op = op;
-    return r;
 }
 
 MemRef
@@ -88,7 +50,7 @@ class SystemTest : public ::testing::TestWithParam<Scheme>
     }
 
     SystemConfig cfg_;
-    TinyWorkload workload_;
+    FootprintWorkload workload_;
     MultiHostSystem system_;
 };
 
@@ -216,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SystemPipm, PromotionAndIncrementalMigrationLifecycle)
 {
     SystemConfig cfg = valueConfig();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
 
@@ -262,7 +224,7 @@ TEST(SystemPipm, PromotionAndIncrementalMigrationLifecycle)
 TEST(SystemPipm, InterHostAccessMigratesLineBack)
 {
     SystemConfig cfg = valueConfig();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
 
@@ -301,7 +263,7 @@ TEST(SystemPipm, InterHostAccessMigratesLineBack)
 TEST(SystemOs, EpochMigratesHotPageAndChargesStalls)
 {
     SystemConfig cfg = valueConfig();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::memtis, wl, 7);
 
     // Host 1 hammers page 4 across two epochs.
@@ -349,7 +311,7 @@ TEST(SystemOs, EpochMigratesHotPageAndChargesStalls)
 TEST(SystemGim, RemoteWritesReachTheOwnerCopy)
 {
     SystemConfig cfg = valueConfig();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::nomad, wl, 7);
 
     // Manufacture a migrated page directly through the address space.
@@ -368,7 +330,7 @@ TEST(SystemGim, RemoteWritesReachTheOwnerCopy)
 TEST(SystemHwStatic, OnlyStaticOwnerInstantiatesPages)
 {
     SystemConfig cfg = testConfig();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::hwStatic, wl, 7);
     PipmState &pipm = *sys.pipmState();
 
@@ -400,7 +362,7 @@ TEST(SystemHwStatic, OnlyStaticOwnerInstantiatesPages)
 TEST(SystemPipm, PinnedPagesStayInCxlAndUnpinningRevokes)
 {
     SystemConfig cfg = testConfig();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmFull, wl, 7);
     PipmState &pipm = *sys.pipmState();
 
@@ -440,7 +402,7 @@ TEST(SystemNaive, UnrepairableEntryOfMigratedLineServesHomeDegraded)
     SystemConfig cfg = valueConfig();
     cfg.fault.enabled = true;
     cfg.fault.metaCorruptMeanIntervalNs = 1e15;   // guards on, no events
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmNaive, wl, 7);
 
     Cycles now = 0;
@@ -465,8 +427,7 @@ TEST(SystemNaive, UnrepairableEntryOfMigratedLineServesHomeDegraded)
     // Host 1 writes the migrated line through the naive redirect and
     // holds it dirty in M; then its entry is corrupted beyond repair.
     sys.access(1, 0, sharedRef(2, li, MemOp::write), now, 99);
-    const LineAddr line =
-        lineOf(pageBase(sys.space().sharedFrame(2)) + li * lineBytes);
+    const LineAddr line = homeLine(sys, 2, li);
     ASSERT_TRUE(sys.deviceDirectory().corruptEntry(line, 0xff, true));
 
     const AccessResult r =
@@ -488,7 +449,7 @@ TEST(SystemNaive, RecalledDirtyLineLandsInTheBitHostsFrame)
     SystemConfig cfg = valueConfig();
     cfg.numHosts = 4;
     constexpr std::uint64_t pages = 2048;
-    TinyWorkload wl(pages * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(pages * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::pipmNaive, wl, 7);
 
     Cycles now = 0;
@@ -510,8 +471,7 @@ TEST(SystemNaive, RecalledDirtyLineLandsInTheBitHostsFrame)
     }
     ASSERT_LT(li, linesPerPage);
     sys.access(1, 0, sharedRef(2, li, MemOp::write), now, 99);
-    const LineAddr line =
-        lineOf(pageBase(sys.space().sharedFrame(2)) + li * lineBytes);
+    const LineAddr line = homeLine(sys, 2, li);
     ASSERT_NE(sys.deviceDirectory().probe(line), nullptr);
 
     // Fill the line's directory set from hosts 2 and 3. A one-way
@@ -524,8 +484,7 @@ TEST(SystemNaive, RecalledDirtyLineLandsInTheBitHostsFrame)
     for (std::uint64_t p = 64;
          p < pages && sys.deviceDirectory().probe(line); ++p) {
         for (unsigned l = 0; l < linesPerPage; ++l) {
-            const LineAddr other =
-                lineOf(pageBase(sys.space().sharedFrame(p)) + l * lineBytes);
+            const LineAddr other = homeLine(sys, p, l);
             const auto victim = set_of.insert(other, 0);
             set_of.invalidate(other);
             if (!victim)
@@ -551,7 +510,7 @@ TEST(SystemNaive, RecalledDirtyLineLandsInTheBitHostsFrame)
 TEST(SystemNaive, NaiveCoherencePaysDeviceRoundTripsOnLocalHits)
 {
     SystemConfig cfg = testConfig();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem pipm_sys(cfg, Scheme::pipmFull, wl, 7);
     MultiHostSystem naive_sys(cfg, Scheme::pipmNaive, wl, 7);
 
@@ -593,7 +552,7 @@ TEST(SystemNaive, NaiveCoherencePaysDeviceRoundTripsOnLocalHits)
 TEST(SystemStats, LocalOnlyServesEverythingLocally)
 {
     SystemConfig cfg = testConfig();
-    TinyWorkload wl(64 * pageBytes, 8 * pageBytes);
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::localOnly, wl, 7);
     Rng rng(5);
     Cycles now = 0;

@@ -9,7 +9,7 @@
 
 #include "os/tlb.hh"
 #include "sim/system.hh"
-#include "workloads/workload.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
@@ -56,48 +56,19 @@ TEST(Tlb, ShootdownForcesRewalk)
     EXPECT_EQ(tlb.shootdowns.value(), 1u);
 }
 
-class TlbStub : public Workload
-{
-  public:
-    std::string name() const override { return "tlbstub"; }
-    std::string suite() const override { return "test"; }
-    std::uint64_t footprintBytes() const override { return 1 << 20; }
-    std::uint64_t sharedBytes() const override { return 64 * pageBytes; }
-    std::uint64_t privateBytesPerHost() const override
-    {
-        return 8 * pageBytes;
-    }
-    std::string fingerprint() const override { return "tlbstub"; }
-    std::unique_ptr<CoreTrace>
-    makeTrace(HostId, CoreId, unsigned, unsigned,
-              std::uint64_t) const override
-    {
-        return nullptr;
-    }
-};
-
-MemRef
-ref(std::uint64_t page, unsigned line)
-{
-    MemRef r;
-    r.shared = true;
-    r.page = page;
-    r.lineIdx = static_cast<std::uint8_t>(line);
-    r.op = MemOp::read;
-    return r;
-}
-
 TEST(TlbSystem, TranslationChargesAppearWhenEnabled)
 {
     SystemConfig cfg = testConfig();
     cfg.tlb.enabled = true;
-    TlbStub wl;
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::native, wl, 3);
     ASSERT_NE(sys.tlb(0, 0), nullptr);
 
-    const Cycles cold = sys.access(0, 0, ref(1, 0), 0).latency;
+    const Cycles cold =
+        sys.access(0, 0, sharedRef(1, 0, MemOp::read), 0).latency;
     // Same page, different line: TLB hit, L1 miss.
-    const Cycles warm = sys.access(0, 0, ref(1, 1), 10'000).latency;
+    const Cycles warm =
+        sys.access(0, 0, sharedRef(1, 1, MemOp::read), 10'000).latency;
     EXPECT_GT(cold, warm);
     EXPECT_EQ(sys.tlb(0, 0)->missCount.value(), 1u);
 }
@@ -107,7 +78,7 @@ TEST(TlbSystem, OsMigrationShootsDownAllCores)
     SystemConfig cfg = testConfig();
     cfg.tlb.enabled = true;
     cfg.coresPerHost = 2;
-    TlbStub wl;
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::memtis, wl, 3);
 
     // Warm every core's translation of page 4, then drive epochs until
@@ -115,10 +86,11 @@ TEST(TlbSystem, OsMigrationShootsDownAllCores)
     Cycles now = 0;
     for (int epoch = 0; epoch < 4; ++epoch) {
         for (int i = 0; i < 200; ++i) {
+            const unsigned line = static_cast<unsigned>(i) % linesPerPage;
             sys.access(1, static_cast<CoreId>(i % 2),
-                       ref(4, static_cast<unsigned>(i) % linesPerPage),
-                       now);
-            sys.access(0, static_cast<CoreId>(i % 2), ref(4, 0), now);
+                       sharedRef(4, line, MemOp::read), now);
+            sys.access(0, static_cast<CoreId>(i % 2),
+                       sharedRef(4, 0, MemOp::read), now);
             now += 300;
         }
         now += cfg.osEpochCycles();
@@ -141,7 +113,7 @@ TEST(TlbSystem, SharedMissSampleExcludesTranslation)
     // A cold read of a shared page OS-migrated to the requesting host:
     // as on every other path, the shared and local miss-latency samples
     // hold the miss alone, not the TLB walk charged in front of it.
-    TlbStub wl;
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     SystemConfig on_cfg = testConfig();
     on_cfg.tlb.enabled = true;
     MultiHostSystem off(testConfig(), Scheme::native, wl, 3);
@@ -149,8 +121,9 @@ TEST(TlbSystem, SharedMissSampleExcludesTranslation)
     ASSERT_TRUE(off.space().migrateSharedToHost(4, 0));
     ASSERT_TRUE(on.space().migrateSharedToHost(4, 0));
 
-    const Cycles miss = off.access(0, 0, ref(4, 0), 0).latency;
-    const Cycles with_tlb = on.access(0, 0, ref(4, 0), 0).latency;
+    const MemRef r = sharedRef(4, 0, MemOp::read);
+    const Cycles miss = off.access(0, 0, r, 0).latency;
+    const Cycles with_tlb = on.access(0, 0, r, 0).latency;
     ASSERT_GT(with_tlb, miss);
     EXPECT_EQ(on.avgSharedMissLatency.count(), 1u);
     EXPECT_EQ(on.avgSharedMissLatency.mean(), static_cast<double>(miss));
@@ -160,7 +133,7 @@ TEST(TlbSystem, SharedMissSampleExcludesTranslation)
 TEST(TlbSystem, DisabledByDefault)
 {
     SystemConfig cfg = testConfig();
-    TlbStub wl;
+    FootprintWorkload wl(64 * pageBytes, 8 * pageBytes);
     MultiHostSystem sys(cfg, Scheme::native, wl, 3);
     EXPECT_EQ(sys.tlb(0, 0), nullptr);
 }

@@ -31,19 +31,12 @@
 #include "trace/trace_gen.hh"
 #include "workloads/catalog.hh"
 #include "workloads/trace_file.hh"
+#include "test_support.hh"
 
 namespace pipm
 {
 namespace
 {
-
-/** Scoped detail::throwOnError so fatal()/panic() raise SimError. */
-struct ThrowGuard
-{
-    bool saved = detail::throwOnError;
-    ThrowGuard() { detail::throwOnError = true; }
-    ~ThrowGuard() { detail::throwOnError = saved; }
-};
 
 class TraceTest : public ::testing::Test
 {
@@ -88,15 +81,6 @@ spitBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char *>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string
-slurpText(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 // ---- Varint / zigzag codec ------------------------------------------
@@ -241,7 +225,7 @@ TEST_F(TraceTest, WritesAreByteDeterministic)
 
 TEST_F(TraceTest, RejectsGarbageHeader)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     spitBytes(path("garbage.pipmt"),
               {'G', 'A', 'R', 'B', 'A', 'G', 'E', '!', 0, 1, 2, 3});
     EXPECT_THROW(TraceReader(path("garbage.pipmt")), SimError);
@@ -265,7 +249,7 @@ TEST_F(TraceTest, RejectsTruncationAtEveryPrefix)
         out.writeTo(path("whole.pipmt"));
     }
     const auto whole = slurpBytes(path("whole.pipmt"));
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     // Every proper prefix must be rejected (truncated header, stream
     // table, or payload — the trailing-bytes and checksum checks close
     // the gaps the varint decoder alone would not notice).
@@ -290,7 +274,7 @@ TEST_F(TraceTest, RejectsPayloadCorruption)
     auto bytes = slurpBytes(path("clean.pipmt"));
     bytes.back() ^= 0x40;  // flip payload bits -> checksum mismatch
     spitBytes(path("flipped.pipmt"), bytes);
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(TraceReader(path("flipped.pipmt")), SimError);
 }
 
@@ -306,7 +290,7 @@ TEST_F(TraceTest, RejectsTrailingGarbage)
     auto bytes = slurpBytes(path("clean.pipmt"));
     bytes.push_back(0x00);
     spitBytes(path("tail.pipmt"), bytes);
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(TraceReader(path("tail.pipmt")), SimError);
 }
 
@@ -351,7 +335,7 @@ TEST_F(TraceTest, GeneratorsAreDeterministicAndReplayable)
 
 TEST_F(TraceTest, GeneratorRejectsUnknownModel)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     GenSpec spec;
     spec.model = "nosuch";
     EXPECT_THROW(generateTrace(spec), SimError);
@@ -408,7 +392,7 @@ TEST_F(TraceTest, MergeRejectsGeometryMismatch)
     b.coresPerHost = 2;
     generateTrace(a).writeTo(path("a.pipmt"));
     generateTrace(b).writeTo(path("b.pipmt"));
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(mergeTraces({path("a.pipmt"), path("b.pipmt")}),
                  SimError);
 }
@@ -447,8 +431,8 @@ expectReplayIdentity(const SystemConfig &cfg, const RunConfig &run,
               fuzz::fingerprintResult(replayed));
     EXPECT_EQ(recorded.workload, replayed.workload);
     if (with_stats) {
-        EXPECT_EQ(slurpText(stats_dir + "/record.json"),
-                  slurpText(stats_dir + "/replay.json"));
+        EXPECT_EQ(slurp(stats_dir + "/record.json"),
+                  slurp(stats_dir + "/replay.json"));
     }
 }
 
@@ -490,7 +474,7 @@ TEST_F(TraceTest, RecorderRefusesSecondRun)
     const auto source = workloadByName("ycsb", 256);
     TraceRecorder recorder(*source, 1, 1);
     auto t = recorder.makeTrace(0, 0, 1, 1, 42);
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(recorder.makeTrace(0, 0, 1, 1, 42), SimError);
 }
 
@@ -498,7 +482,7 @@ TEST_F(TraceTest, RecorderRefusesSecondRun)
 
 TEST(ConfigGeometry, RejectsNonPow2SetCounts)
 {
-    ThrowGuard guard;
+    ThrowOnErrorScope guard;
     {
         SystemConfig cfg = testConfig();
         cfg.l1.sizeBytes = 3 * 4096;  // 12 KB / (64 B * ways) sets

@@ -124,17 +124,15 @@ TEST_F(TraceFileTest, RejectsOversubscribedGeometry)
     auto workload = workloadByName("ycsb", 256);
     snapshotTrace(*workload, path("small.pipmt"), 50, 1, 1, 5);
     TraceFileWorkload replay(path("small.pipmt"));
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(replay.makeTrace(1, 0, 1, 2, 0), SimError);
     EXPECT_THROW(replay.makeTrace(0, 1, 2, 1, 0), SimError);
-    detail::throwOnError = false;
 }
 
 TEST_F(TraceFileTest, MissingFileIsFatal)
 {
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(TraceFileWorkload(path("nope.pipmt")), SimError);
-    detail::throwOnError = false;
 }
 
 TEST_F(TraceFileTest, TruncatedFileIsFatal)
@@ -145,19 +143,17 @@ TEST_F(TraceFileTest, TruncatedFileIsFatal)
         std::fwrite(bytes, 1, 5, f);
         std::fclose(f);
     }
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(TraceFileWorkload(path("trunc.pipmt")), SimError);
-    detail::throwOnError = false;
 }
 
 TEST_F(TraceFileTest, EmptyStreamListIsFatal)
 {
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     auto workload = workloadByName("ycsb", 256);
     EXPECT_THROW(
         snapshotTrace(*workload, path("zero.pipmt"), 0, 1, 1, 5),
         SimError);
-    detail::throwOnError = false;
 }
 
 } // namespace

@@ -56,9 +56,8 @@ TEST(Catalog, ByNameRoundTrips)
 
 TEST(Catalog, UnknownNameIsFatal)
 {
-    detail::throwOnError = true;
+    ThrowOnErrorScope guard;
     EXPECT_THROW(workloadByName("nope", scale), SimError);
-    detail::throwOnError = false;
 }
 
 TEST(Synthetic, TracesAreDeterministic)
