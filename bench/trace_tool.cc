@@ -15,6 +15,8 @@
  * replays to a byte-identical RunResult.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -121,13 +123,16 @@ struct Args
         return *n;
     }
 
+    /** A whole, finite decimal number: "", "0.5x", "nan" and "inf"
+     *  are rejected. */
     double
     real(const std::string &flag)
     {
         const std::string v = value(flag);
-        char *end = nullptr;
-        const double x = std::strtod(v.c_str(), &end);
-        if (!end || *end)
+        const char *end = v.data() + v.size();
+        double x = 0.0;
+        const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+        if (ec != std::errc() || ptr != end || !std::isfinite(x))
             badArgs("bad number '" + v + "' for " + flag);
         return x;
     }

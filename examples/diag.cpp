@@ -11,15 +11,16 @@
  * Passing "faults" as the fourth argument enables the paper-default
  * fault-injection schedule (CXL link CRC errors, retraining windows,
  * poisoned lines, migration aborts) and dumps the fault stats too.
- * An unknown scheme, a fourth argument other than "faults", or extra
+ * A reference count that is not a positive whole decimal number, an
+ * unknown scheme, a fourth argument other than "faults", or extra
  * arguments print usage and exit 2.
  */
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "sim/core.hh"
 #include "sim/system.hh"
 #include "workloads/catalog.hh"
@@ -30,9 +31,11 @@ main(int argc, char **argv)
     using namespace pipm;
     SystemConfig cfg = defaultConfig();
     auto wl = workloadByName(argc > 1 ? argv[1] : "pr", cfg.footprintScale);
+    const std::optional<std::uint64_t> refs =
+        argc > 2 ? parseU64(argv[2]) : std::optional<std::uint64_t>(50'000);
     const std::optional<Scheme> scheme =
         argc > 3 ? schemeFromString(argv[3]) : Scheme::native;
-    if (!scheme || argc > 5 ||
+    if (!refs || *refs == 0 || !scheme || argc > 5 ||
         (argc > 4 && std::string(argv[4]) != "faults")) {
         std::cerr << "usage: example_diag [workload] [refs-per-core] "
                      "[scheme] [faults]\nschemes:";
@@ -44,9 +47,6 @@ main(int argc, char **argv)
     if (argc > 4)
         cfg.fault = paperFaultConfig();
     MultiHostSystem sys(cfg, *scheme, *wl, 42);
-
-    const std::uint64_t refs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50'000;
 
     std::vector<OooCore> cores;
     std::vector<std::unique_ptr<CoreTrace>> traces;
@@ -63,7 +63,7 @@ main(int argc, char **argv)
         std::size_t best = 0;
         Cycles bt = maxCycles;
         for (std::size_t i = 0; i < cores.size(); ++i) {
-            if (done[i] < refs && cores[i].now() < bt) {
+            if (done[i] < *refs && cores[i].now() < bt) {
                 bt = cores[i].now();
                 best = i;
             }
@@ -81,7 +81,7 @@ main(int argc, char **argv)
             core.issueLoad(res.latency);
         else
             core.issueStore(res.latency);
-        if (++done[best] == refs)
+        if (++done[best] == *refs)
             ++finished;
     }
     Cycles maxc = 0;

@@ -11,10 +11,11 @@
  * punish side-effect-blind whole-page migration.
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/table_printer.hh"
 #include "sim/runner.hh"
 #include "workloads/catalog.hh"
@@ -24,15 +25,20 @@ main(int argc, char **argv)
 {
     using namespace pipm;
 
-    const std::uint64_t refs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 120'000;
+    const std::optional<std::uint64_t> refs =
+        argc > 1 ? parseU64(argv[1])
+                 : std::optional<std::uint64_t>(120'000);
+    if (!refs) {
+        std::cerr << "usage: example_graph_analytics [refs-per-core]\n";
+        return 2;
+    }
 
     SystemConfig cfg = defaultConfig();
     auto workload = workloadByName("pr", cfg.footprintScale);
 
     RunConfig run;
-    run.warmupRefsPerCore = refs / 4;
-    run.measureRefsPerCore = refs;
+    run.warmupRefsPerCore = *refs / 4;
+    run.measureRefsPerCore = *refs;
 
     std::cout << "Multi-host graph analytics (PageRank model): "
               << cfg.numHosts << " hosts x " << cfg.coresPerHost

@@ -6,10 +6,11 @@
  * hardest case for page migration (§5.2.1: databases gain the least).
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/table_printer.hh"
 #include "sim/runner.hh"
 #include "workloads/catalog.hh"
@@ -19,15 +20,20 @@ main(int argc, char **argv)
 {
     using namespace pipm;
 
-    const std::uint64_t refs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100'000;
+    const std::optional<std::uint64_t> refs =
+        argc > 1 ? parseU64(argv[1])
+                 : std::optional<std::uint64_t>(100'000);
+    if (!refs) {
+        std::cerr << "usage: example_kv_multihost [refs-per-core]\n";
+        return 2;
+    }
 
     SystemConfig cfg = defaultConfig();
     auto workload = workloadByName("ycsb", cfg.footprintScale);
 
     RunConfig run;
-    run.warmupRefsPerCore = refs / 4;
-    run.measureRefsPerCore = refs;
+    run.warmupRefsPerCore = *refs / 4;
+    run.measureRefsPerCore = *refs;
 
     std::cout << "Multi-host KV store (YCSB R:W 4:1 model): zipfian keys, "
               << cfg.numHosts << " hosts, "

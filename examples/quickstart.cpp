@@ -6,11 +6,12 @@
  * Usage: example_quickstart [workload] [refs-per-core]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/table_printer.hh"
 #include "sim/runner.hh"
 #include "workloads/catalog.hh"
@@ -21,15 +22,20 @@ main(int argc, char **argv)
     using namespace pipm;
 
     const std::string name = argc > 1 ? argv[1] : "pr";
-    const std::uint64_t refs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 150'000;
+    const std::optional<std::uint64_t> refs =
+        argc > 2 ? parseU64(argv[2])
+                 : std::optional<std::uint64_t>(150'000);
+    if (!refs) {
+        std::cerr << "usage: example_quickstart [workload] [refs-per-core]\n";
+        return 2;
+    }
 
     SystemConfig cfg = defaultConfig();
     auto workload = workloadByName(name, cfg.footprintScale);
 
     RunConfig run;
-    run.warmupRefsPerCore = refs / 4;
-    run.measureRefsPerCore = refs;
+    run.warmupRefsPerCore = *refs / 4;
+    run.measureRefsPerCore = *refs;
 
     std::cout << "PIPM quickstart: workload '" << name << "' ("
               << workload->suite() << ", "

@@ -163,9 +163,9 @@ class CacheHierarchy
          * hold the line (set on every L1 fill, cleared on invalidation;
          * silent L1 capacity evictions leave stale bits). A clear bit
          * proves absence, so cross-L1 invalidations skip those scans.
-         * 32 bits keeps the whole record at 16 bytes — the LLC meta
-         * strip of a 16-way set is 4 cache lines instead of 6, and every
-         * demand access walks that strip.
+         * 32 bits keeps this payload at 16 bytes, so a way's SetAssoc
+         * record (key, replacement word, payload) is 32 bytes, two to a
+         * cache line, where a 64-bit mask would make it 40.
          */
         std::uint32_t l1Mask = 0;
         std::uint64_t data = 0;

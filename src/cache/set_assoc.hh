@@ -10,16 +10,20 @@
  * needed at this layer — memory-level parallelism is modelled by the core's
  * instruction window instead (see sim/core.hh).
  *
- * Storage is structure-of-arrays with one-byte tag fingerprints: each way
- * has a tag byte (0 = empty, else a 7-bit hash fingerprint with the top
- * bit set), so the way scan of a lookup reads a 16-byte tag strip — one
- * cache line for a 16-way set, eight ways per SWAR step — and touches the
- * full 8-byte keys only on a fingerprint match (~1/128 false-positive
- * rate per way). Replacement words and Meta payloads live in separate
- * arrays that only hits and fills touch. Lookups dominate the simulator's
- * hot path (tens of millions of directory and LLC probes per run), which
- * makes the scan footprint a first-order throughput term; see DESIGN.md
- * §9.
+ * Storage is two arrays. The tag strip is set-major, one byte per way
+ * (0 = empty, else a 7-bit hash fingerprint with the top bit set), so
+ * the way scan of a lookup reads a 16-byte strip — one cache line for a
+ * 16-way set, eight ways per SWAR step. Each way's key, replacement word
+ * and payload sit together in one record, and the records are stored
+ * way-major: way w of set s is record `(w << log2(sets)) + s`. A scan
+ * reads a record only on a fingerprint match (~1/128 false-positive
+ * rate per way), and a hit then finds the replacement word and payload
+ * in the record line it already loaded. Fills take the lowest free way,
+ * so a sparse array (the device directory, at most ~6% live) keeps its
+ * live records in the low-way regions, a few MB, and never touches the
+ * rest. Lookups dominate the simulator's hot path (tens of millions of
+ * directory and LLC probes per run), which makes the lines touched per
+ * probe a first-order throughput term; see DESIGN.md §9.
  */
 
 #ifndef PIPM_CACHE_SET_ASSOC_HH
@@ -74,13 +78,11 @@ class SetAssoc
      */
     SetAssoc(unsigned sets, unsigned ways,
              ReplPolicy policy = ReplPolicy::lru, std::uint64_t seed = 1)
-        : sets_(sets), ways_(ways), repl_(policy, seed),
+        : sets_(sets), ways_(ways),
+          setBits_(static_cast<unsigned>(std::countr_zero(sets))),
+          repl_(policy, seed),
           tags_(static_cast<std::size_t>(sets) * ways, 0),
-          keys_(std::make_unique_for_overwrite<std::uint64_t[]>(
-              static_cast<std::size_t>(sets) * ways)),
-          replWords_(std::make_unique_for_overwrite<ReplWord[]>(
-              static_cast<std::size_t>(sets) * ways)),
-          meta_(static_cast<std::size_t>(sets) * ways)
+          recs_(static_cast<std::size_t>(sets) * ways)
     {
         panic_if(sets == 0 || (sets & (sets - 1)) != 0,
                  "set count must be a nonzero power of two, got ", sets);
@@ -106,19 +108,20 @@ class SetAssoc
     Meta *
     lookup(std::uint64_t key)
     {
-        const std::size_t i = find(key);
-        if (i == npos)
+        const std::size_t r = find(key);
+        if (r == npos)
             return nullptr;
-        replWords_[i] = repl_.onHit(replWords_[i], ++useClock_);
-        return &meta_[i];
+        Way &rec = recs_[r];
+        rec.repl = repl_.onHit(rec.repl, ++useClock_);
+        return &rec.meta;
     }
 
     /** Look up without touching replacement state (probe). */
     const Meta *
     probe(std::uint64_t key) const
     {
-        const std::size_t i = find(key);
-        return i == npos ? nullptr : &meta_[i];
+        const std::size_t r = find(key);
+        return r == npos ? nullptr : &recs_[r].meta;
     }
 
     /**
@@ -133,16 +136,14 @@ class SetAssoc
         // One pass over the set checks the no-duplicate invariant and
         // finds a free way at the same time.
         const std::uint64_t h = hashOf(key);
-        const std::size_t base = baseOf(h);
+        const std::size_t set = setOf(h);
         const std::uint8_t fp = fpOf(h);
-        std::size_t free_way;
-        panic_if(scanSet(base, fp, key, free_way) != npos,
+        unsigned free_way;
+        panic_if(scanSet(set, fp, key, free_way) != npos,
                  "duplicate insert of key ", key);
-        if (free_way != npos) {
-            fill(base + free_way, fp, key, std::move(meta));
-            return std::nullopt;
-        }
-        return evictAndFill(base, fp, key, std::move(meta));
+        std::optional<Entry> evicted;
+        place(set, free_way, fp, key, std::move(meta), evicted);
+        return evicted;
     }
 
     /**
@@ -154,16 +155,14 @@ class SetAssoc
     insertIfAbsent(std::uint64_t key, Meta meta)
     {
         const std::uint64_t h = hashOf(key);
-        const std::size_t base = baseOf(h);
+        const std::size_t set = setOf(h);
         const std::uint8_t fp = fpOf(h);
-        std::size_t free_way;
-        if (scanSet(base, fp, key, free_way) != npos)
+        unsigned free_way;
+        if (scanSet(set, fp, key, free_way) != npos)
             return std::nullopt;
-        if (free_way != npos) {
-            fill(base + free_way, fp, key, std::move(meta));
-            return std::nullopt;
-        }
-        return evictAndFill(base, fp, key, std::move(meta));
+        std::optional<Entry> evicted;
+        place(set, free_way, fp, key, std::move(meta), evicted);
+        return evicted;
     }
 
     /**
@@ -177,24 +176,18 @@ class SetAssoc
             bool &resident)
     {
         const std::uint64_t h = hashOf(key);
-        const std::size_t base = baseOf(h);
+        const std::size_t set = setOf(h);
         const std::uint8_t fp = fpOf(h);
-        std::size_t free_way;
-        const std::size_t i = scanSet(base, fp, key, free_way);
-        if (i != npos) {
-            replWords_[i] = repl_.onHit(replWords_[i], ++useClock_);
+        unsigned free_way;
+        const std::size_t r = scanSet(set, fp, key, free_way);
+        if (r != npos) {
+            Way &rec = recs_[r];
+            rec.repl = repl_.onHit(rec.repl, ++useClock_);
             resident = true;
-            return &meta_[i];
+            return &rec.meta;
         }
         resident = false;
-        std::size_t slot = 0;
-        if (free_way != npos) {
-            slot = base + free_way;
-            fill(slot, fp, key, std::move(meta));
-        } else {
-            evicted = evictAndFill(base, fp, key, std::move(meta), &slot);
-        }
-        return &meta_[slot];
+        return &place(set, free_way, fp, key, std::move(meta), evicted).meta;
     }
 
     /**
@@ -208,43 +201,46 @@ class SetAssoc
                 bool &resident)
     {
         const std::uint64_t h = hashOf(key);
-        const std::size_t base = baseOf(h);
+        const std::size_t set = setOf(h);
         const std::uint8_t fp = fpOf(h);
-        std::size_t free_way;
-        const std::size_t i = scanSet(base, fp, key, free_way);
-        if (i != npos) {
+        unsigned free_way;
+        const std::size_t r = scanSet(set, fp, key, free_way);
+        if (r != npos) {
             resident = true;
-            return &meta_[i];
+            return &recs_[r].meta;
         }
         resident = false;
-        std::size_t slot = 0;
-        if (free_way != npos) {
-            slot = base + free_way;
-            fill(slot, fp, key, std::move(meta));
-        } else {
-            evicted = evictAndFill(base, fp, key, std::move(meta), &slot);
-        }
-        return &meta_[slot];
+        return &place(set, free_way, fp, key, std::move(meta), evicted).meta;
     }
 
     /** Remove a key if present; returns its entry. */
     std::optional<Entry>
     invalidate(std::uint64_t key)
     {
-        const std::size_t i = find(key);
-        if (i == npos)
+        const std::size_t r = find(key);
+        if (r == npos)
             return std::nullopt;
-        tags_[i] = 0;
-        return Entry{keys_[i], meta_[i]};
+        // The record index holds both halves: set in the low bits, way
+        // above them.
+        tags_[(r & (sets_ - 1)) * ways_ + (r >> setBits_)] = 0;
+        return Entry{recs_[r].key, recs_[r].meta};
     }
 
-    /** Apply fn to every valid entry (e.g. flush, stats, invariants). */
+    /**
+     * Apply fn to every valid entry (e.g. flush, stats, invariants), in
+     * slot order: set by set, ways ascending within a set.
+     */
     void
     forEach(const std::function<void(const Entry &)> &fn) const
     {
-        for (std::size_t i = 0; i < tags_.size(); ++i) {
-            if (tags_[i])
-                fn(Entry{keys_[i], meta_[i]});
+        const std::uint8_t *tags = tags_.data();
+        for (std::size_t set = 0; set < sets_; ++set, tags += ways_) {
+            for (unsigned w = 0; w < ways_; ++w) {
+                if (tags[w]) {
+                    const Way &rec = recs_[recOf(set, w)];
+                    fn(Entry{rec.key, rec.meta});
+                }
+            }
         }
     }
 
@@ -296,8 +292,11 @@ class SetAssoc
                 } while (tags_[slot] == 0);
             }
             prev = idx;
-            if (fn(keys_[slot]))
-                return keys_[slot];
+            // Slot order is set-major: map the slot to (set, way).
+            const auto way = static_cast<unsigned>(slot % ways_);
+            const std::uint64_t key = recs_[recOf(slot / ways_, way)].key;
+            if (fn(key))
+                return key;
         }
         return std::nullopt;
     }
@@ -308,6 +307,15 @@ class SetAssoc
 
   private:
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    static constexpr unsigned noWay = static_cast<unsigned>(-1);
+
+    /** One way's record: everything but the tag, in one place. */
+    struct Way
+    {
+        std::uint64_t key;        ///< confirmed on tag match
+        ReplWord repl;            ///< touched on hit, fill and eviction
+        [[no_unique_address]] Meta meta;
+    };
 
     /** Multiplicative hash; spreads page-strided keys across sets. */
     static std::uint64_t
@@ -316,11 +324,11 @@ class SetAssoc
         return key * 0x9e3779b97f4a7c15ull;
     }
 
-    /** First slot of the key's set (hash bits 32..). */
+    /** The key's set (hash bits 32..). */
     std::size_t
-    baseOf(std::uint64_t h) const
+    setOf(std::uint64_t h) const
     {
-        return static_cast<std::size_t>((h >> 32) & (sets_ - 1)) * ways_;
+        return static_cast<std::size_t>((h >> 32) & (sets_ - 1));
     }
 
     /**
@@ -334,19 +342,25 @@ class SetAssoc
         return static_cast<std::uint8_t>((h >> 56) | 0x80u);
     }
 
+    /** Record index of way `way` of set `set`: way-major, set below. */
+    std::size_t
+    recOf(std::size_t set, unsigned way) const
+    {
+        return (static_cast<std::size_t>(way) << setBits_) + set;
+    }
+
     /**
-     * One pass over a set's tag strip, eight ways per step: the way
+     * One pass over a set's tag strip, eight ways per step: the record
      * holding `key` (npos if absent) and, through `free_way`, the lowest
-     * empty way (npos if the set is full). Exactly the way-order
+     * empty way (noWay if the set is full). Exactly the way-order
      * semantics of the byte-at-a-time loop it replaces.
      */
     std::size_t
-    scanSet(std::size_t base, std::uint8_t fp, std::uint64_t key,
-            std::size_t &free_way) const
+    scanSet(std::size_t set, std::uint8_t fp, std::uint64_t key,
+            unsigned &free_way) const
     {
-        const std::uint8_t *tags = tags_.data() + base;
-        const std::uint64_t *keys = keys_.get() + base;
-        free_way = npos;
+        const std::uint8_t *tags = tags_.data() + set * ways_;
+        free_way = noWay;
         unsigned w = 0;
         for (; w + 8 <= ways_; w += 8) {
             const std::uint64_t word = swarLoad(tags + w);
@@ -354,14 +368,15 @@ class SetAssoc
             while (m) {
                 const unsigned c =
                     w + static_cast<unsigned>(std::countr_zero(m)) / 8;
-                if (keys[c] == key) {
+                const std::size_t r = recOf(set, c);
+                if (recs_[r].key == key) {
                     // A hit never consults free_way; leaving it at the
                     // lowest empty way of *earlier* words only is fine.
-                    return base + c;
+                    return r;
                 }
                 m &= m - 1;
             }
-            if (free_way == npos) {
+            if (free_way == noWay) {
                 const std::uint64_t z = swarMatchMask(word, 0);
                 if (z) {
                     free_way =
@@ -372,10 +387,10 @@ class SetAssoc
         for (; w < ways_; ++w) {
             const std::uint8_t t = tags[w];
             if (t == 0) {
-                if (free_way == npos)
+                if (free_way == noWay)
                     free_way = w;
-            } else if (t == fp && keys[w] == key) {
-                return base + w;
+            } else if (t == fp && recs_[recOf(set, w)].key == key) {
+                return recOf(set, w);
             }
         }
         return npos;
@@ -450,96 +465,114 @@ class SetAssoc
         }
     }
 
-    /** Index of a resident key's way slot, or npos. */
+    /** Record index of a resident key, or npos. */
     std::size_t
     find(std::uint64_t key) const
     {
         const std::uint64_t h = hashOf(key);
-        const std::size_t base = baseOf(h);
+        const std::size_t set = setOf(h);
         const std::uint8_t fp = fpOf(h);
-        const std::uint8_t *tags = tags_.data() + base;
-        const std::uint64_t *keys = keys_.get() + base;
+        const std::uint8_t *tags = tags_.data() + set * ways_;
         unsigned w = 0;
         for (; w + 8 <= ways_; w += 8) {
             std::uint64_t m = swarMatchMask(swarLoad(tags + w), fp);
             while (m) {
-                const unsigned c =
-                    w + static_cast<unsigned>(std::countr_zero(m)) / 8;
-                if (keys[c] == key)
-                    return base + c;
+                const std::size_t r = recOf(
+                    set,
+                    w + static_cast<unsigned>(std::countr_zero(m)) / 8);
+                if (recs_[r].key == key)
+                    return r;
                 m &= m - 1;
             }
         }
         for (; w < ways_; ++w) {
-            if (tags[w] == fp && keys[w] == key)
-                return base + w;
+            if (tags[w] == fp && recs_[recOf(set, w)].key == key)
+                return recOf(set, w);
         }
         return npos;
     }
 
-    void
-    fill(std::size_t i, std::uint8_t fp, std::uint64_t key, Meta meta)
+    /** Tag the way and build its record in place. */
+    Way &
+    fill(std::size_t set, unsigned way, std::uint8_t fp, std::uint64_t key,
+         Meta meta)
     {
-        tags_[i] = fp;
-        replWords_[i] = repl_.onFill(++useClock_);
-        keys_[i] = key;
-        std::construct_at(&meta_[i], std::move(meta));
+        tags_[set * ways_ + way] = fp;
+        return *std::construct_at(
+            &recs_[recOf(set, way)],
+            Way{key, repl_.onFill(++useClock_), std::move(meta)});
     }
 
-    /** Evict the set's policy victim and fill the new key in its place. */
-    std::optional<Entry>
-    evictAndFill(std::size_t base, std::uint8_t fp, std::uint64_t key,
-                 Meta meta, std::size_t *slot_out = nullptr)
+    /** The policy's victim way of a full set. */
+    unsigned
+    victimWay(std::size_t set)
     {
-        std::size_t victim_way;
+        // The set's records are `sets_` apart.
+        Way *recs = recs_.data() + set;
+        const std::size_t stride = std::size_t{1} << setBits_;
         if (repl_.policy() == ReplPolicy::lru) {
             // LRU never mutates the words while choosing, so the argmin
-            // runs straight over the stored strip (same first-minimum
+            // runs straight over the stored words (same first-minimum
             // tie-break as Replacement::victim) — no scratch copy, no
             // out-of-line call on the capacity-fill hot path.
-            const ReplWord *words = replWords_.get() + base;
-            victim_way = 0;
+            unsigned victim = 0;
+            ReplWord oldest = recs[0].repl;
             for (unsigned w = 1; w < ways_; ++w) {
-                if (words[w] < words[victim_way])
-                    victim_way = w;
+                const ReplWord word = recs[w * stride].repl;
+                if (word < oldest) {
+                    oldest = word;
+                    victim = w;
+                }
             }
-        } else {
-            // Associativity is bounded, so the scratch words live on the
-            // stack (hot path: one per capacity fill).
-            panic_if(ways_ > maxWays, "associativity above ", maxWays);
-            ReplWord words[maxWays];
-            for (unsigned w = 0; w < ways_; ++w)
-                words[w] = replWords_[base + w];
-            victim_way = repl_.victim(std::span<ReplWord>(words, ways_));
-            // SRRIP ages the whole set while choosing; write them back.
-            if (repl_.policy() == ReplPolicy::srrip) {
-                for (unsigned w = 0; w < ways_; ++w)
-                    replWords_[base + w] = words[w];
-            }
+            return victim;
         }
-        const std::size_t victim = base + victim_way;
-        Entry evicted{keys_[victim], std::move(meta_[victim])};
-        fill(victim, fp, key, std::move(meta));
-        if (slot_out)
-            *slot_out = victim;
-        return evicted;
+        // Associativity is bounded, so the scratch words live on the
+        // stack (hot path: one per capacity fill).
+        panic_if(ways_ > maxWays, "associativity above ", maxWays);
+        ReplWord words[maxWays];
+        for (unsigned w = 0; w < ways_; ++w)
+            words[w] = recs[w * stride].repl;
+        const auto victim = static_cast<unsigned>(
+            repl_.victim(std::span<ReplWord>(words, ways_)));
+        // SRRIP ages the whole set while choosing; write them back.
+        if (repl_.policy() == ReplPolicy::srrip) {
+            for (unsigned w = 0; w < ways_; ++w)
+                recs[w * stride].repl = words[w];
+        }
+        return victim;
+    }
+
+    /**
+     * Fill the key into `free_way` or, when the set is full (noWay),
+     * into the policy victim's way, handing the displaced entry to
+     * `evicted`. Returns the new entry's record.
+     */
+    Way &
+    place(std::size_t set, unsigned free_way, std::uint8_t fp,
+          std::uint64_t key, Meta meta, std::optional<Entry> &evicted)
+    {
+        unsigned way = free_way;
+        if (way == noWay) {
+            way = victimWay(set);
+            const Way &old = recs_[recOf(set, way)];
+            evicted = Entry{old.key, old.meta};
+        }
+        return fill(set, way, fp, key, std::move(meta));
     }
 
     unsigned sets_;
     unsigned ways_;
+    unsigned setBits_;   ///< log2(sets_): the set field of a record index
     Replacement repl_;
     std::uint64_t useClock_ = 0;
-    // Only tags_ is zeroed at construction. A key or payload is read only
-    // after its way's tag matched (or, for the victim's, once
-    // evictAndFill finds every way of the set filled), and a replacement
-    // word only on a hit or in that same full-set case — so none of the
-    // other three arrays is ever read before fill() writes it, and
-    // clearing them would only cost set-up time (megabytes for the
-    // device directory).
-    std::vector<std::uint8_t> tags_;     ///< 0 = empty, else fingerprint
-    std::unique_ptr<std::uint64_t[]> keys_;   ///< confirmed on tag match
-    std::unique_ptr<ReplWord[]> replWords_;   ///< touched on hit/fill only
-    UninitVector<Meta> meta_;            ///< built in place by fill()
+    // Only tags_ is zeroed at construction. A record's key is read only
+    // after its way's tag matched, and its replacement word and payload
+    // only on such a hit or once every way of the set is filled (the
+    // eviction), so no record is read before fill() builds it. Clearing
+    // them would cost set-up time and fault in every page of the record
+    // array, where a sparse array only ever touches its low-way regions.
+    std::vector<std::uint8_t> tags_;   ///< set-major; 0 = empty, else fp
+    UninitVector<Way> recs_;           ///< way-major; built by fill()
 };
 
 } // namespace pipm

@@ -1,7 +1,7 @@
 #include "sim/runner.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <memory>
 #include <vector>
 
@@ -32,6 +32,35 @@ enum RunMode : unsigned
 };
 
 } // namespace
+
+std::vector<PhysAddr>
+parseWatchLines(std::string_view list)
+{
+    std::vector<PhysAddr> lines;
+    if (list.empty())
+        return lines;
+    for (;;) {
+        const std::size_t comma = list.find(',');
+        const std::string_view item = list.substr(0, comma);
+        std::string_view digits = item;
+        int base = 10;
+        if (digits.starts_with("0x") || digits.starts_with("0X")) {
+            digits.remove_prefix(2);
+            base = 16;
+        }
+        const char *end = digits.data() + digits.size();
+        PhysAddr line = 0;
+        const auto [ptr, ec] =
+            std::from_chars(digits.data(), end, line, base);
+        if (ec != std::errc() || ptr != end)
+            fatal("PIPM_OBS_WATCH item '", item,
+                  "' is not a decimal or 0x-hex line address");
+        lines.push_back(line);
+        if (comma == std::string_view::npos)
+            return lines;
+        list.remove_prefix(comma + 1);
+    }
+}
 
 void
 addCounterFields(MultiHostSystem &system, RunResult &out)
@@ -156,17 +185,10 @@ runExperiment(const SystemConfig &cfg, Scheme scheme,
         system.registerStats(registry);
         if (trace_capacity > 0) {
             trace = std::make_unique<ObsTrace>(trace_capacity);
-            // PIPM_OBS_WATCH: comma-separated line addresses whose
-            // directory transitions get traced.
-            const char *p = watch_lines.c_str();
-            while (*p) {
-                char *end = nullptr;
-                const PhysAddr line = std::strtoull(p, &end, 0);
-                if (end == p)
-                    break;
+            // PIPM_OBS_WATCH: line addresses whose directory
+            // transitions get traced.
+            for (const PhysAddr line : parseWatchLines(watch_lines))
                 trace->watchLine(line);
-                p = *end == ',' ? end + 1 : end;
-            }
             system.attachTrace(trace.get());
         }
         if (obs_interval == 0) {

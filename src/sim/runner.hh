@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/config.hh"
 #include "sim/scheme.hh"
@@ -368,6 +369,13 @@ class MultiHostSystem;
  * both extract counters this way.
  */
 void addCounterFields(MultiHostSystem &system, RunResult &out);
+
+/**
+ * The PIPM_OBS_WATCH list: comma-separated line addresses, each a whole
+ * decimal or 0x-prefixed hex number. Any other item ("12x", "", "-1")
+ * is fatal rather than the end of the list.
+ */
+std::vector<PhysAddr> parseWatchLines(std::string_view list);
 
 /** Run one experiment. */
 RunResult runExperiment(const SystemConfig &cfg, Scheme scheme,

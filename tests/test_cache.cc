@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -158,9 +160,13 @@ class PayloadModel : public ::testing::TestWithParam<ReplPolicy>
 // lookup, probe, insert, insertIfAbsent, acquire and
 // insertOrGet (resident and fresh), invalidate, each evicted Entry, and
 // forEach. Presence and payload must match the model after every step.
-TEST_P(PayloadModel, EveryPathReturnsWhatWasInserted)
+// Geometries with a way count that is not a power of two (and a single
+// set) check that records are found from (set, way) alone.
+void
+checkPayloadModel(unsigned sets, unsigned ways, ReplPolicy policy)
 {
-    SetAssoc<Marked> cache(8, 4, GetParam(), 5);
+    SetAssoc<Marked> cache(sets, ways, policy, 5);
+    const std::uint64_t keySpace = 3 * cache.capacity();
     std::map<std::uint64_t, Marked> model;
     Rng rng(23);
     std::uint32_t serial = 0;
@@ -185,7 +191,7 @@ TEST_P(PayloadModel, EveryPathReturnsWhatWasInserted)
     };
 
     for (int step = 0; step < 20000; ++step) {
-        const std::uint64_t key = rng.below(96);
+        const std::uint64_t key = rng.below(keySpace);
         const bool present = model.contains(key);
         switch (rng.below(8)) {
           case 0: {
@@ -267,6 +273,18 @@ TEST_P(PayloadModel, EveryPathReturnsWhatWasInserted)
     EXPECT_EQ(cache.occupancy(), model.size());
 }
 
+TEST_P(PayloadModel, EveryPathReturnsWhatWasInserted)
+{
+    const std::pair<unsigned, unsigned> geometries[] = {
+        {8, 4}, {1, 3}, {8, 13}, {64, 20}};
+    for (const auto &[sets, ways] : geometries) {
+        SCOPED_TRACE(::testing::Message() << sets << "x" << ways);
+        checkPayloadModel(sets, ways, GetParam());
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Policies, PayloadModel,
     ::testing::Values(ReplPolicy::lru, ReplPolicy::random,
@@ -286,6 +304,79 @@ TEST(SetAssoc, DefaultPayloadIsTheInsertedOneNotZeroBytes)
     cache.insert(1, Marked{});
     ASSERT_NE(cache.probe(1), nullptr);
     EXPECT_EQ(*cache.probe(1), Marked{});
+}
+
+// One set of `ways` ways against a slot model: a fill takes the lowest
+// free way, a full set evicts its least recently touched key (fills and
+// lookups touch; probes and a resident insertIfAbsent do not), and
+// forEach lists the keys in way order. The golden digests and
+// rotateFrom depend on that slot order.
+TEST(SetAssoc, OneSetFillsTheLowestFreeWayAndEvictsTheLeastRecentlyTouched)
+{
+    for (const unsigned ways : {1u, 3u, 7u, 16u}) {
+        SCOPED_TRACE(::testing::Message() << ways << " ways");
+        SetAssoc<Payload> cache(1, ways);
+        std::vector<std::optional<std::uint64_t>> slots(ways);
+        std::map<std::uint64_t, std::uint64_t> touched;   // key -> time
+        std::uint64_t now = 0;
+        std::uint64_t next_key = 1000;
+        Rng rng(ways);
+        for (int step = 0; step < 4000; ++step) {
+            std::vector<std::uint64_t> resident;
+            for (const auto &slot : slots) {
+                if (slot)
+                    resident.push_back(*slot);
+            }
+            const std::uint64_t op = rng.below(5);
+            if (op < 3 && !resident.empty()) {
+                const std::uint64_t key =
+                    resident[rng.below(resident.size())];
+                if (op == 0) {
+                    ASSERT_NE(cache.lookup(key), nullptr);
+                    touched[key] = ++now;
+                } else if (op == 1) {
+                    ASSERT_TRUE(cache.invalidate(key));
+                    *std::find(slots.begin(), slots.end(), key) =
+                        std::nullopt;
+                    touched.erase(key);
+                } else {
+                    EXPECT_NE(cache.probe(key), nullptr);
+                    EXPECT_FALSE(cache.insertIfAbsent(key, Payload{}));
+                }
+            } else {
+                const std::uint64_t key = next_key++;
+                auto way = std::find(slots.begin(), slots.end(),
+                                     std::nullopt);
+                std::optional<std::uint64_t> victim;
+                if (way == slots.end()) {
+                    way = std::min_element(
+                        slots.begin(), slots.end(),
+                        [&](const auto &a, const auto &b) {
+                            return touched.at(*a) < touched.at(*b);
+                        });
+                    victim = *way;
+                    touched.erase(*victim);
+                }
+                const auto evicted = cache.insert(key, Payload{});
+                ASSERT_EQ(evicted.has_value(), victim.has_value());
+                if (victim) {
+                    EXPECT_EQ(evicted->key, *victim);
+                }
+                *way = key;
+                touched[key] = ++now;
+            }
+            std::vector<std::uint64_t> want;
+            for (const auto &slot : slots) {
+                if (slot)
+                    want.push_back(*slot);
+            }
+            std::vector<std::uint64_t> got;
+            cache.forEach([&got](const SetAssoc<Payload>::Entry &e) {
+                got.push_back(e.key);
+            });
+            ASSERT_EQ(got, want) << "step " << step;
+        }
+    }
 }
 
 /**

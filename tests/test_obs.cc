@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "common/logging.hh"
 #include "fuzz/fuzz.hh"
 #include "obs/json.hh"
 #include "obs/metrics_registry.hh"
@@ -329,6 +331,31 @@ TEST(StatsJson, ExportIsSchemaValidAndMatchesRunResult)
     EXPECT_EQ(trace->find("events")->arr.size(),
               std::min<std::uint64_t>(64u,
                                       trace->find("recorded")->asU64()));
+    std::remove(path.c_str());
+}
+
+// PIPM_OBS_WATCH: every comma-separated item is a whole decimal or
+// 0x-hex line address, or the run is fatal; a malformed item must not
+// end the list and drop the items after it.
+TEST(ObsWatch, EveryItemParsesWholeOrTheRunFails)
+{
+    EXPECT_TRUE(parseWatchLines("").empty());
+    EXPECT_EQ(parseWatchLines("12"), std::vector<PhysAddr>{12});
+    EXPECT_EQ(parseWatchLines("0,4096,0x40,0XfF"),
+              (std::vector<PhysAddr>{0, 4096, 64, 255}));
+
+    ThrowOnErrorScope scope;
+    for (const char *bad : {"12x,34", "12,34x", "12,,34", "12,", ",12",
+                            "0x", "-1", " 12", "12 ", "0x-1",
+                            "99999999999999999999"}) {
+        EXPECT_THROW(parseWatchLines(bad), SimError) << "'" << bad << "'";
+    }
+    const std::string path = testing::TempDir() + "pipm_stats_watch.json";
+    RunConfig run = obsRun(path);
+    run.obsWatchLines = "12x,34";
+    auto wl = smallWorkload();
+    EXPECT_THROW(runExperiment(smallSystem(), Scheme::pipmFull, *wl, run),
+                 SimError);
     std::remove(path.c_str());
 }
 
